@@ -11,7 +11,9 @@ serve *without* the ``float_activations`` escape hatch and match the frozen
 CSQ training-graph eval within quantization tolerance.  A registry-driven
 scheme sweep additionally exports and serves one artifact per quantization
 scheme (``KNOWN_SCHEMES``: CSQ plus every baseline quantizer) with
-served-vs-session parity.  Exits non-zero on any mismatch.
+served-vs-session parity, and a mixed-shape leg interleaves 12x12 and 16x16
+requests, which must still coalesce into one forward pass per input shape.
+Exits non-zero on any mismatch.
 """
 
 from __future__ import annotations
@@ -155,6 +157,36 @@ def chaos_deterministic_leg(session: InferenceSession) -> str:
     return ""
 
 
+def mixed_shape_leg(session: InferenceSession) -> str:
+    """Interleaved 12x12 / 16x16 requests coalesce per input shape.
+
+    Sixteen requests alternate between two input shapes.  Each shape must
+    still batch (fewer forward passes than requests) and every served
+    result must match that shape's own stacked ``session.run``.  Returns an
+    error string, or "" on success.
+    """
+    rng = np.random.default_rng(5)
+    by_shape = {
+        side: rng.standard_normal((8, 3, side, side)).astype(np.float32)
+        for side in (12, 16)
+    }
+    refs = {side: session.run(images) for side, images in by_shape.items()}
+    order = [(side, index) for index in range(8) for side in (12, 16)]
+    with Server(session, max_batch=8, max_wait_ms=50.0) as server:
+        served = server.predict_many([by_shape[side][i] for side, i in order])
+        stats = server.stats.snapshot()
+    for (side, index), got in zip(order, served):
+        err = float(np.abs(got - refs[side][index]).max())
+        if err > 1e-6:
+            return f"mixed-shape leg: {side}x{side} request {index} differs by {err:.2e}"
+    if not stats["batches"] < stats["served"]:
+        return (
+            f"mixed-shape leg: {stats['served']:.0f} requests took "
+            f"{stats['batches']:.0f} forward passes; shapes did not coalesce"
+        )
+    return ""
+
+
 def scheme_matrix_leg() -> str:
     """Registry-driven scheme sweep: one artifact per quantization scheme.
 
@@ -229,6 +261,10 @@ def main() -> int:
             return 1
         if stats["served"] < len(images):
             print(f"serve smoke FAILED: server answered {stats['served']} of {len(images)}")
+            return 1
+        failure = mixed_shape_leg(session)
+        if failure:
+            print(f"serve smoke FAILED: {failure}")
             return 1
 
     # --- chaos legs: seeded faults, recovery + parity + exact shedding ---
@@ -354,7 +390,8 @@ def main() -> int:
         f"(mean batch {stats['mean_batch_size']:.1f}); act4 trace: "
         f"{len(step_spans)} plan.step spans across {len(batch_spans)} batches, "
         f"kernels {'/'.join(sorted(span_tags))}; schemes: "
-        f"{len(KNOWN_SCHEMES)} quantizers served; chaos: crash recovered "
+        f"{len(KNOWN_SCHEMES)} quantizers served; mixed 12/16 shapes "
+        f"coalesced per shape; chaos: crash recovered "
         f"bitwise, poison quarantined, 5 shed / 3 expired exactly"
     )
     return 0

@@ -2,8 +2,9 @@
 
 The environment has no network access and an older setuptools without PEP 660
 editable-wheel support, so ``pip install -e .`` falls back to
-``setup.py develop`` through this shim.  All project metadata lives in
-``pyproject.toml``.
+``setup.py develop`` through this shim.  This file is the only packaging
+metadata: the ``repro`` distribution, its packages found under ``src/``,
+the supported Python versions and the runtime dependencies (numpy, scipy).
 """
 
 from setuptools import find_packages, setup

@@ -5,7 +5,10 @@ threads and executes them on worker threads with **dynamic micro-batching**:
 a worker drains the request queue, waiting up to ``max_wait_ms`` after the
 first request to coalesce up to ``max_batch`` examples into one forward pass
 — the classic latency/throughput trade the GEMM-heavy runtime rewards, since
-a batch-32 forward costs far less than 32 batch-1 forwards.
+a batch-32 forward costs far less than 32 batch-1 forwards.  Batches are
+keyed by input shape: one collection may hold several shapes, each runs as
+its own stacked forward pass, and collection ends as soon as any one shape
+fills ``max_batch``, so mixed-shape traffic still coalesces per shape.
 
 With ``workers > 1`` the server runs that loop on several threads, each
 owning an independent session (via :meth:`InferenceSession.clone`), all
@@ -45,7 +48,7 @@ Failure behavior is typed, bounded, and deterministic:
   orphaned-work leak where a timed-out client left its request queued and
   still executed.
 * **Crash-safe workers** — a supervisor thread detects a dead serve loop,
-  restarts it on a fresh ``session.clone()``, and requeues the batch the
+  restarts it on a fresh ``session.clone()``, and requeues every request the
   crash orphaned.  A request whose presence kills two consecutive
   executions is **quarantined**: its future fails with
   :class:`RequestQuarantined` and byte-identical payloads are rejected at
@@ -308,7 +311,10 @@ class Server:
         The :class:`InferenceSession` (or any object with a ``run(batch)``)
         executing coalesced batches.
     max_batch:
-        Largest number of requests fused into one forward pass.
+        Largest number of requests fused into one forward pass.  Passes
+        are keyed by input shape: a collection window may gather several
+        shapes, each served as its own pass of at most ``max_batch`` rows,
+        and the window closes early once any shape reaches ``max_batch``.
     max_wait_ms:
         How long a worker waits after the first queued request for more
         requests to coalesce.  0 disables batching delay (latency-optimal);
@@ -672,10 +678,15 @@ class Server:
                 continue
             first.dequeued_at = time.perf_counter()
             slot.inflight.append(first)
-            batch: List[_Request] = [first]
+            collected: List[_Request] = [first]
+            # Requests only stack with their own input shape, so fill is
+            # counted per shape: collection ends when any shape has a full
+            # forward pass (or the wait window closes).
+            fill: Dict[tuple, int] = {first.x.shape: 1}
+            fullest = 1
             deadline = first.dequeued_at + self.max_wait_s
             drained_sentinel = False
-            while len(batch) < self.max_batch:
+            while fullest < self.max_batch:
                 remaining = deadline - time.perf_counter()
                 try:
                     item = self._queue.get(block=remaining > 0, timeout=max(remaining, 1e-4))
@@ -683,7 +694,7 @@ class Server:
                     break
                 if item is self._SHUTDOWN:
                     # Keep the sentinel count balanced for the other workers:
-                    # finish this batch, then exit.
+                    # finish this collection, then exit.
                     self._task_done()
                     drained_sentinel = True
                     break
@@ -692,16 +703,18 @@ class Server:
                     continue
                 item.dequeued_at = time.perf_counter()
                 slot.inflight.append(item)
-                batch.append(item)
+                collected.append(item)
+                fill[item.x.shape] = fill.get(item.x.shape, 0) + 1
+                fullest = max(fullest, fill[item.x.shape])
             if faults is not None:
-                for request in batch:
+                for request in collected:
                     if request.fault_id >= 0 and faults.take_crash(request.fault_id):
                         raise InjectedWorkerCrash(
                             f"injected worker crash at request {request.fault_id}"
                         )
-            self._execute(batch, session)
+            self._execute(collected, session)
             slot.inflight.clear()
-            for _ in batch:
+            for _ in collected:
                 self._task_done()
             if drained_sentinel:
                 return
@@ -796,15 +809,19 @@ class Server:
         )
         return True
 
-    def _execute(self, batch: List[_Request], session: Optional[InferenceSession] = None) -> None:
-        session = session if session is not None else self.session
-        if len(batch) > 1 and len({request.x.shape for request in batch}) > 1:
-            # A malformed request must not poison its batch-mates: mixed
-            # shapes cannot be stacked, so serve each request individually
-            # and let only the offender fail.
-            for request in batch:
-                self._execute([request], session)
-            return
+    def _execute(self, collected: List[_Request], session: InferenceSession) -> None:
+        # Only same-shape requests stack: run one forward pass per input
+        # shape, in order of each shape's first arrival.  A malformed
+        # request thus forms its own group and fails alone, without
+        # poisoning the passes of its collection-mates.
+        groups: Dict[tuple, List[_Request]] = {}
+        for request in collected:
+            groups.setdefault(request.x.shape, []).append(request)
+        for group in groups.values():
+            self._run_batch(group, session)
+
+    def _run_batch(self, batch: List[_Request], session: InferenceSession) -> None:
+        """One stacked forward pass over same-shape requests, then resolve them."""
         telemetry = self._telemetry
         run_started = time.perf_counter()
         try:
@@ -862,6 +879,7 @@ class Server:
             telemetry.emit({
                 "type": "batch",
                 "size": size,
+                "shape": batch_shape,
                 "assembly_ms": 1e3 * (run_started - batch[0].dequeued_at),
                 "run_ms": 1e3 * (done - run_started),
             })
@@ -883,7 +901,7 @@ class Server:
         if counters is not None:
             counters["retries"].inc(len(retry))
         for request in retry:
-            self._execute([request], session)
+            self._run_batch([request], session)
 
     def _quarantine(self, request: _Request, error: BaseException) -> None:
         fingerprint = self._fingerprint(request.x)

@@ -230,6 +230,34 @@ def test_worker_crash_restart_is_bitwise_transparent(session, rng):
     assert faults.counts()["crash"] == 1
 
 
+def test_crash_salvages_every_shape_group_of_a_collection(session, rng):
+    """A crash in a two-shape collection requeues and serves both groups."""
+    small = _examples(rng, 3)
+    large = [rng.standard_normal((3, 12, 12)).astype(np.float32) for _ in range(3)]
+    examples = [x for pair in zip(small, large) for x in pair]
+
+    def serve(faults):
+        # No shape fills max_batch, so the whole window is one collection
+        # holding both groups; the crash fires before either one runs.
+        server = Server(session, max_batch=8, max_wait_ms=200.0, faults=faults)
+        with server:
+            futures = [server.submit(x) for x in examples]
+            results = [f.result(timeout=10.0) for f in futures]
+            return results, server.stats.snapshot()
+
+    want, clean_stats = serve(None)
+    faults = FaultPlan(seed=0).crash_at(3)
+    got, stats = serve(faults)
+    assert clean_stats["batch_size_dist"] == {3: 2}
+    assert stats["restarts"] == 1
+    assert stats["retries"] == len(examples)  # both groups were requeued
+    assert stats["served"] == len(examples)
+    assert stats["batch_size_dist"] == {3: 2}
+    assert faults.counts()["crash"] == 1
+    for ref, result in zip(want, got):
+        assert result.tobytes() == ref.tobytes()
+
+
 def test_crash_restart_reported_in_obs_metrics(session, rng):
     examples = _examples(rng, 3)
     faults = FaultPlan(seed=0).crash_at(0)

@@ -5,7 +5,16 @@ import threading
 import numpy as np
 import pytest
 
-from repro.deploy import InferenceSession, Server, load_artifact, save_artifact
+from repro import obs
+from repro.deploy import (
+    FaultPlan,
+    InferenceSession,
+    RequestQuarantined,
+    Server,
+    load_artifact,
+    save_artifact,
+)
+from repro.obs.sink import NdjsonSink, read_ndjson
 from tests.deploy.conftest import frozen_mixed_model
 
 
@@ -218,3 +227,123 @@ def test_request_ids_are_sequential(session, rng):
     with Server(session, max_batch=4, max_wait_ms=0.0) as server:
         server.predict_many(_examples(rng, 3))
         assert server.stats.requests == 3
+
+
+# ----------------------------------------------------------------------
+# Shape-keyed micro-batching
+# ----------------------------------------------------------------------
+class ShapeRecordingSession:
+    """Duck-typed session: records each forward pass's batch shape.
+
+    ``run`` is row-independent and exact (a reshape and a scale), so a
+    batched result is bitwise equal to the same row served alone.  Inputs
+    without 3 channels fail, standing in for a malformed request.
+    """
+
+    def __init__(self):
+        self.calls = []
+        self._lock = threading.Lock()
+
+    def run(self, batch):
+        with self._lock:
+            self.calls.append(batch.shape)
+        if batch.shape[1] != 3:
+            raise ValueError(f"expected 3 input channels, got {batch.shape[1]}")
+        return 2.0 * batch.reshape(len(batch), -1)[:, :4]
+
+
+def _shaped(rng, side, n):
+    return [rng.standard_normal((3, side, side)).astype(np.float32) for _ in range(n)]
+
+
+def _interleave(first, second):
+    return [x for pair in zip(first, second) for x in pair]
+
+
+def test_mixed_shapes_coalesce_per_shape():
+    """Interleaved shapes within one window run as one pass per shape."""
+    rng = np.random.default_rng(0)
+    examples = _interleave(_shaped(rng, 12, 8), _shaped(rng, 16, 8))
+    session = ShapeRecordingSession()
+    # No shape fills max_batch, so the whole window is one collection.
+    with Server(session, max_batch=16, max_wait_ms=300.0) as server:
+        results = server.predict_many(examples)
+        stats = server.stats.snapshot()
+    assert session.calls == [(8, 3, 12, 12), (8, 3, 16, 16)]
+    assert stats["batch_size_dist"] == {8: 2}
+    for x, got in zip(examples, results):
+        assert got.tobytes() == session.run(x[None])[0].tobytes()
+
+
+def test_first_full_shape_ends_the_collection():
+    """max_batch caps each pass; collection stops when any shape fills it."""
+    rng = np.random.default_rng(1)
+    examples = _interleave(_shaped(rng, 12, 8), _shaped(rng, 16, 8))
+    session = ShapeRecordingSession()
+    with Server(session, max_batch=8, max_wait_ms=500.0) as server:
+        results = server.predict_many(examples)
+    # The 15th request fills the 12x12 group, ending the first collection
+    # with 7 16x16 rows beside it; the 16th request starts the next one.
+    assert session.calls[:2] == [(8, 3, 12, 12), (7, 3, 16, 16)]
+    assert session.calls[2:] == [(1, 3, 16, 16)]
+    for x, got in zip(examples, results):
+        assert got.tobytes() == session.run(x[None])[0].tobytes()
+
+
+def test_wrong_shape_fails_alone_among_two_good_shapes():
+    rng = np.random.default_rng(2)
+    good = _interleave(_shaped(rng, 12, 3), _shaped(rng, 16, 3))
+    session = ShapeRecordingSession()
+    with Server(session, max_batch=8, max_wait_ms=300.0) as server:
+        futures = [server.submit(x) for x in good[:3]]
+        bad = server.submit(np.zeros((2, 2, 2), dtype=np.float32))
+        futures += [server.submit(x) for x in good[3:]]
+        results = [f.result(timeout=10.0) for f in futures]
+        with pytest.raises(RequestQuarantined):
+            bad.result(timeout=10.0)
+        stats = server.stats.snapshot()
+    # The good shapes still ran as one pass each; only the odd shape's own
+    # group failed, then failed again on its solo retry.
+    good_calls = [shape for shape in session.calls if shape[1] == 3]
+    assert good_calls == [(3, 3, 12, 12), (3, 3, 16, 16)]
+    assert stats["quarantined"] == 1
+    assert stats["retries"] == 1
+    for x, got in zip(good, results):
+        assert got.tobytes() == session.run(x[None])[0].tobytes()
+
+
+def test_zero_wait_backlog_of_many_shapes_resolves_everything():
+    rng = np.random.default_rng(3)
+    sides = [8, 9, 10, 11, 12, 13]
+    examples = [x for _ in range(5) for side in sides for x in _shaped(rng, side, 1)]
+    session = ShapeRecordingSession()
+    # Stall the first request so the rest pile up behind it as a backlog.
+    faults = FaultPlan(seed=0).slow_at(0, ms=200)
+    with Server(session, max_batch=3, max_wait_ms=0.0, faults=faults) as server:
+        futures = [server.submit(x) for x in examples]
+        results = [f.result(timeout=10.0) for f in futures]
+        stats = server.stats.snapshot()
+    assert stats["served"] == len(examples)
+    assert max(shape[0] for shape in session.calls) <= 3
+    assert stats["batches"] == len(session.calls)
+    # The backlog coalesced: fewer passes than requests.
+    assert len(session.calls) < len(examples)
+    for x, got in zip(examples, results):
+        assert got.tobytes() == session.run(x[None])[0].tobytes()
+
+
+def test_batch_records_carry_their_shape(tmp_path):
+    """Per-shape fill is visible from NDJSON: each batch record names its shape."""
+    rng = np.random.default_rng(4)
+    examples = _interleave(_shaped(rng, 12, 4), _shaped(rng, 16, 4))
+    sink = NdjsonSink(str(tmp_path / "events"), run_id="shapes")
+    with obs.telemetry_scope(enabled=True, sink=sink):
+        with Server(ShapeRecordingSession(), max_batch=8, max_wait_ms=300.0) as server:
+            server.predict_many(examples)
+    events = read_ndjson(sink.events_path)
+    batches = [(r["shape"], r["size"]) for r in events if r["type"] == "batch"]
+    assert batches == [([3, 12, 12], 4), ([3, 16, 16], 4)]
+    requests = [r for r in events if r["type"] == "request"]
+    assert len(requests) == len(examples)
+    assert all(r["batch"] == 4 for r in requests)
+    assert sorted(r["shape"][1] for r in requests) == [12] * 4 + [16] * 4
