@@ -1,8 +1,9 @@
 """Shared infrastructure for the benchmark harnesses.
 
 Every table and figure of the paper's evaluation section has a bench file in
-this directory that regenerates it on the synthetic workloads (see DESIGN.md
-for the substitution rationale and EXPERIMENTS.md for paper-vs-measured).
+this directory that regenerates it on the synthetic workloads
+(``repro.data.synthetic`` explains the substitution; each bench's docstring
+states the paper's rows and which qualitative claims it checks).
 
 Scaling: the paper's runs are hundreds of GPU epochs on CIFAR-10/ImageNet;
 these benches run reduced-width models on small synthetic datasets so a full

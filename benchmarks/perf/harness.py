@@ -116,7 +116,6 @@ def run_suites(
     """Run the named suites and return the JSON-serializable results document."""
     # Import for side effects: suite registration.
     from benchmarks.perf import (  # noqa: F401
-        intgemm_bench,
         ops_bench,
         runtime_bench,
         serve_bench,
@@ -155,8 +154,8 @@ def _environment() -> Dict[str, object]:
     Delegates to :func:`repro.obs.provenance.environment_block` — one
     canonical provenance block shared with the telemetry run manifests and
     ``scripts/loadgen.py``, so baselines and soak runs are comparable by
-    the same identity fields (git SHA, numpy, thread/arena/int-GEMM knobs,
-    cpu_count).
+    the same identity fields (git SHA, numpy, thread knobs, BLAS backend
+    and threads, cpu_count).
     """
     from repro.obs.provenance import environment_block
 

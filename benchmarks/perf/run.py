@@ -17,7 +17,6 @@ from benchmarks.perf.harness import run_suites, write_results, SUITES
 def main(argv=None) -> int:
     # Touch the registry so --help lists real suite names.
     from benchmarks.perf import (  # noqa: F401
-        intgemm_bench,
         ops_bench,
         runtime_bench,
         serve_bench,

@@ -1,4 +1,4 @@
-"""Compute-runtime benchmarks: thread scaling, arena on/off, prefetch.
+"""Compute-runtime benchmarks: thread scaling, prefetch.
 
 The ``runtime`` suite measures the levers the shared compute runtime adds on
 top of the vectorized kernels:
@@ -6,12 +6,10 @@ top of the vectorized kernels:
 * ``conv2d_fwd_bwd_t{1,2,4}`` — the conv train-step kernel under 1/2/4
   compute threads (the thread-scaling curve; flat on a single-core host);
 * ``gemm_shard_t{1,2,4}`` — a bare ``parallel_gemm`` of serving-sized shape;
-* ``conv2d_fwd_bwd_arena_{on,off}`` — the same kernel with the buffer arena
-  pooling enabled vs. bypassed (``np.empty`` per intermediate);
 * ``dataloader_prefetch_{off,on}`` — one epoch of the synthetic loader with
   and without the background prefetch worker.
 
-Every case restores the global thread/arena configuration in its teardown,
+Every case restores the global thread configuration in its teardown,
 so suite order cannot leak state into later cases.
 """
 
@@ -127,30 +125,6 @@ def build_runtime_suite(scale: str) -> List[BenchCase]:
         )
 
     cases.extend(make_gemm_case(t) for t in _THREAD_POINTS)
-
-    # -- arena on/off --------------------------------------------------
-    def make_arena_case(enabled: bool) -> BenchCase:
-        def setup():
-            from repro import runtime
-
-            previous = runtime.arena_enabled()
-            runtime.set_arena_enabled(enabled)
-            return _conv_state(cfg), previous
-
-        def fn(state):
-            return _conv_fwd_bwd(state[0])
-
-        def teardown(state):
-            from repro import runtime
-
-            runtime.set_arena_enabled(state[1])
-
-        label = "on" if enabled else "off"
-        return BenchCase(
-            f"conv2d_fwd_bwd_arena_{label}", setup, fn, batch, "image", teardown=teardown
-        )
-
-    cases.extend(make_arena_case(enabled) for enabled in (True, False))
 
     # -- dataloader prefetch -------------------------------------------
     def make_prefetch_case(prefetch: bool) -> BenchCase:

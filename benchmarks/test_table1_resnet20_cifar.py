@@ -48,7 +48,7 @@ def test_table1_resnet20_cifar(benchmark):
 
     # Chance on the 10-class task is 0.1; every quantized row must beat it.
     # (Rows with 2-3 bit activations degrade substantially at the short CPU
-    # schedule — see EXPERIMENTS.md — so the floor here is deliberately loose.)
+    # schedule, so the floor here is deliberately loose.)
     assert all(r.accuracy > 0.12 for r in results), "a quantized row collapsed to chance"
     # The headline full-precision-activation CSQ row stays close to FP.
     csq_fp_act = next(r for r in results if r.method == "CSQ T2")

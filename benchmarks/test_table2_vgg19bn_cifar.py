@@ -3,8 +3,8 @@
 Paper rows: FP, LQ-Nets, CSQ-T2 (A32); ZeroQ/ZAQ/CSQ-T3 (A8); QUANOS/CSQ-T3
 (A4); LQ-Nets/Non-Linear/CSQ-T2 (A3).  ZeroQ, ZAQ, QUANOS and the non-linear
 GP quantizer of [23] are reported-number-only baselines in the paper and are
-not reimplemented (see DESIGN.md §6); the bench regenerates the rows that
-involve trainable methods.
+not reimplemented (the paper quotes their numbers rather than training
+them); the bench regenerates the rows that involve trainable methods.
 
 Qualitative claims checked:
 * CSQ-T2 reaches ≈16× compression (paper: exactly 16×) with accuracy close

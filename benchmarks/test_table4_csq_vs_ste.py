@@ -8,9 +8,9 @@ stand-in.
 NOTE on expected shape: the paper's advantage of CSQ over STE emerges over a
 600-epoch schedule where STE's gradient mismatch hampers convergence.  At the
 few-epoch CPU scale of this bench the ordering between STE-Uniform and
-CSQ-Uniform is not guaranteed to match the paper (EXPERIMENTS.md discusses
-this); the assertions therefore check only that every variant trains to well
-above chance and that CSQ-MP's discovered scheme meets its budget.
+CSQ-Uniform is not guaranteed to match the paper; the assertions therefore
+check only that every variant trains to well above chance and that CSQ-MP's
+discovered scheme meets its budget.
 """
 
 import pytest
@@ -48,8 +48,8 @@ def test_table4_csq_vs_ste(benchmark):
     print_table("Table IV: CSQ vs STE-based QAT (ResNet-20, A3)", results)
 
     # Chance is 0.1 on the 10-class task.  CSQ-Uniform trained from scratch is
-    # the slowest learner at this schedule (see EXPERIMENTS.md), so the floor
-    # only guards against total collapse (NaNs / stuck-at-one-class).
+    # the slowest learner at this schedule, so the floor only guards against
+    # total collapse (NaNs / stuck-at-one-class).
     assert all(r.accuracy >= 0.08 for r in results), "a QAT variant collapsed"
     # The mixed-precision CSQ rows (with finetuning) stay competitive with STE.
     for bits in (4, 3, 2):

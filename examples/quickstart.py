@@ -18,7 +18,7 @@ from repro.utils import seed_everything
 def main() -> None:
     seed_everything(0)
 
-    # 1. Data: a small synthetic CIFAR-10 stand-in (see DESIGN.md).
+    # 1. Data: a small synthetic CIFAR-10 stand-in (see repro.data.synthetic).
     train_set = cifar10_like(train=True, train_size=400, test_size=160, image_size=12)
     test_set = cifar10_like(train=False, train_size=400, test_size=160, image_size=12)
     train_loader = DataLoader(train_set, batch_size=40, shuffle=True)
@@ -26,7 +26,7 @@ def main() -> None:
 
     # 2. Model: any float model built from repro.nn layers works.  A short
     #    float warm-up replaces the long from-scratch schedule of the paper
-    #    so the example finishes quickly (see DESIGN.md on schedule scaling).
+    #    so the example finishes quickly (benchmarks/common.py does the same).
     from repro.optim import SGD, WarmupCosine
     from repro.training import fit
 
@@ -41,7 +41,7 @@ def main() -> None:
         target_bits=3.0,      # the "T3" budget of the paper's tables
         act_bits=32,          # keep activations in floating point
         lr=0.05,
-        rep_lr_scale=4.0,     # compensates the short schedule (see DESIGN.md)
+        rep_lr_scale=4.0,     # offsets the gate Jacobian's damping on a short schedule
         mask_lr_scale=0.5,
         weight_decay=0.0,
     )

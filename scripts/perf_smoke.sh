@@ -16,7 +16,7 @@
 #   REPRO_NUM_THREADS=1 PYTHONPATH=src python -m benchmarks.perf.run \
 #       --suite all --label baseline
 #   REPRO_NUM_THREADS=1 PYTHONPATH=src python -m benchmarks.perf.run \
-#       --suite ops --suite csq --suite infer --suite intgemm --scale tiny \
+#       --suite ops --suite csq --suite infer --scale tiny \
 #       --label baseline-tiny --warmup 3 --iters 21 \
 #       --output BENCH_perf_tiny.json
 # (The tiny baseline uses more iterations than the smoke run: sub-ms cases
@@ -61,7 +61,7 @@ EOF
 # baseline was recorded at REPRO_NUM_THREADS=1, and comparing timings taken
 # at different thread counts would make the gate meaningless.
 REPRO_NUM_THREADS=1 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m benchmarks.perf.run \
-    --suite ops --suite csq --suite infer --suite intgemm \
+    --suite ops --suite csq --suite infer \
     --scale tiny --warmup 2 --iters 7 \
     --label smoke --output "$CANDIDATE"
 
@@ -82,33 +82,28 @@ echo "Running telemetry on/off overhead gate..."
 REPRO_NUM_THREADS=1 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \
     python scripts/telemetry_gate.py
 
-# Integer-GEMM kernel sanity: the certified dense kernel must agree with
-# float BLAS to float tolerance, the bit-plane path must equal the dense
-# integer result bit-for-bit, and both must be thread-count-invariant
-# (not timed, not gated).
-echo "Running int-GEMM kernel sanity check..."
+# Integer-GEMM sanity: float32 BLAS on code matrices whose gemm_bound is
+# below 2**24 must equal the int64 reference bit-for-bit, at 1 and 2
+# compute threads (not timed, not gated) — the certification every
+# int8/int16-tagged plan layer relies on.
+echo "Running int-GEMM exactness sanity check..."
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python - <<'EOF'
 import numpy as np
 from repro import runtime
-from repro.runtime.intgemm import bitplane_gemm, int_gemm, pack_weight_bitplanes
+from repro.runtime.intgemm import F32_EXACT_BOUND, gemm_bound
 
 rng = np.random.default_rng(0)
 w = rng.integers(-2, 2, size=(24, 576), dtype=np.int64)   # 2-bit codes
 x = rng.integers(0, 16, size=(576, 700), dtype=np.int64)  # 4-bit codes
+assert gemm_bound(576, -2, 1, 0, 15) < F32_EXACT_BOUND
 
-dense = int_gemm(w, x)
-float_ref = w.astype(np.float32) @ x.astype(np.float32)
-assert np.allclose(dense, float_ref), "dense-int kernel diverged from float BLAS"
-
-bitplane = bitplane_gemm(pack_weight_bitplanes(w), x, 4)
-assert np.array_equal(dense.astype(np.int64), bitplane.astype(np.int64)), \
-    "bit-plane kernel diverged from dense-int"
-
-with runtime.thread_scope(2):
-    assert np.array_equal(int_gemm(w, x), dense), "int_gemm 2-thread parity"
-    assert np.array_equal(bitplane_gemm(pack_weight_bitplanes(w), x, 4), bitplane), \
-        "bitplane_gemm 2-thread parity"
-print("int-GEMM kernels: dense==float (allclose), bitplane==dense (exact), 2-thread parity OK")
+reference = np.matmul(w, x)
+for threads in (1, 2):
+    with runtime.thread_scope(threads):
+        got = runtime.parallel_gemm(w.astype(np.float32), x.astype(np.float32))
+    assert np.array_equal(got.astype(np.int64), reference), \
+        f"f32 GEMM diverged from the int64 reference at {threads} thread(s)"
+print("int-GEMM: f32 parallel_gemm == int64 matmul (exact) at 1 and 2 threads OK")
 EOF
 
 # Two-thread sanity: the sharded kernels must produce bitwise-identical

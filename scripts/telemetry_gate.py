@@ -102,7 +102,7 @@ def make_cases(session: InferenceSession):
 
 def measure(case_fn, samples: int) -> float:
     """min-on / min-off over strictly interleaved off/on samples."""
-    for enabled in (False, True):  # warm both modes (JIT caches, arenas)
+    for enabled in (False, True):  # warm both modes (caches, grow-only buffers)
         with obs.telemetry_scope(enabled=enabled):
             case_fn()
             case_fn()

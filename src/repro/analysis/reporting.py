@@ -2,7 +2,7 @@
 
 The benches print their results in the same row structure as the paper's
 tables and figures; these helpers keep that formatting in one place so
-EXPERIMENTS.md and the bench output stay consistent.
+every bench's printed rows and persisted JSON stay consistent.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ def dump_results(
     path: Union[str, Path],
     results: Union[Sequence[ExperimentResult], Dict],
 ) -> Path:
-    """Write results to a JSON file (used to persist bench outputs for EXPERIMENTS.md)."""
+    """Write results to a JSON file (used to persist bench outputs)."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     if isinstance(results, dict):

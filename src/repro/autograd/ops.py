@@ -23,7 +23,6 @@ from typing import Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.autograd.tensor import ArrayLike, Tensor, ensure_tensor, unbroadcast
-from repro.runtime.arena import BufferArena, default_arena
 from repro.runtime.threadpool import parallel_apply, parallel_gemm
 
 # ---------------------------------------------------------------------------
@@ -504,8 +503,8 @@ def softmax(x: ArrayLike, axis: int = -1) -> Tensor:
 # Convolution / pooling (im2col)
 # ---------------------------------------------------------------------------
 #
-# The forward gather copies one strided slice per kernel offset into an
-# arena-pooled column buffer — kernel_h * kernel_w large vectorized copies,
+# The forward gather copies one strided slice per kernel offset into a
+# fresh column buffer — kernel_h * kernel_w large vectorized copies,
 # which beats both ``np.add.at`` fancy indexing and a single reshape-copy of
 # an ``as_strided`` 6-D patch view (the 6-D iterator degrades to tiny inner
 # runs; the per-offset slices keep NumPy's 4-D copy loops hot).  The gather
@@ -525,21 +524,12 @@ def softmax(x: ArrayLike, axis: int = -1) -> Tensor:
 # ``(batch, out_h, out_w)`` (row-major).
 
 
-def _pad_nchw(
-    x: np.ndarray, padding: int, arena: Optional[BufferArena] = None
-) -> np.ndarray:
-    """Zero-pad the spatial dims into an arena-pooled buffer.
-
-    Returns ``x`` itself when ``padding == 0``.  Otherwise the caller owns
-    the returned buffer and should ``arena.release`` it once consumed.
-    """
+def _pad_nchw(x: np.ndarray, padding: int) -> np.ndarray:
+    """Zero-pad the spatial dims into a new buffer (``x`` itself when ``padding == 0``)."""
     if padding == 0:
         return x
-    arena = arena or default_arena()
     batch, channels, height, width = x.shape
-    buf = arena.empty(
-        (batch, channels, height + 2 * padding, width + 2 * padding), x.dtype
-    )
+    buf = np.empty((batch, channels, height + 2 * padding, width + 2 * padding), x.dtype)
     buf[:, :, :padding, :] = 0.0
     buf[:, :, -padding:, :] = 0.0
     buf[:, :, padding:-padding, :padding] = 0.0
@@ -576,27 +566,20 @@ def im2col(
     kernel_w: int,
     stride: int,
     padding: int,
-    arena: Optional[BufferArena] = None,
 ) -> np.ndarray:
     """Rearrange NCHW image patches into columns of shape (C*kh*kw, N*out_h*out_w).
 
     Columns are ordered ``(batch, out_h, out_w)`` row-major.  The result is
-    backed by a block acquired from ``arena`` (default: the process arena)
-    whose ownership transfers to the caller: internal call sites release it
-    once the backward pass has consumed it, external callers may simply let
-    it be garbage-collected.  The result never aliases ``x``.
+    a new array that never aliases ``x``.
     """
-    arena = arena or default_arena()
-    padded = _pad_nchw(x, padding, arena)
+    padded = _pad_nchw(x, padding)
     batch, channels, height, width = padded.shape
     out_h = (height - kernel_h) // stride + 1
     out_w = (width - kernel_w) // stride + 1
-    cols6 = arena.empty((channels, kernel_h, kernel_w, batch, out_h, out_w), x.dtype)
+    cols6 = np.empty((channels, kernel_h, kernel_w, batch, out_h, out_w), x.dtype)
 
     if cols6.size <= _SMALL_GATHER_ELEMENTS:
         np.copyto(cols6, _patch_view(padded, kernel_h, kernel_w, stride))
-        if padded is not x:
-            arena.release(padded)
         return cols6.reshape(channels * kernel_h * kernel_w, batch * out_h * out_w)
 
     src = padded.transpose(1, 0, 2, 3)  # (C, N, H, W) view
@@ -621,8 +604,6 @@ def im2col(
                     )
         parallel_apply(gather, batch)
 
-    if padded is not x:
-        arena.release(padded)
     return cols6.reshape(channels * kernel_h * kernel_w, batch * out_h * out_w)
 
 
@@ -658,7 +639,6 @@ def conv2d_backward_data(
     x_shape: Tuple[int, int, int, int],
     stride: int,
     padding: int,
-    arena: Optional[BufferArena] = None,
     algo: Optional[str] = None,
     grad_flat: Optional[np.ndarray] = None,
 ) -> np.ndarray:
@@ -684,7 +664,6 @@ def conv2d_backward_data(
     ``grad_flat`` may pass an already-packed ``(C_out, N*oh*ow)`` view of
     ``grad`` (channel-major) so the col2im path avoids re-packing it.
     """
-    arena = arena or default_arena()
     batch, in_channels, height, width = x_shape
     out_channels, _, kernel_h, kernel_w = weight.shape
     out_h, out_w = grad.shape[2], grad.shape[3]
@@ -709,28 +688,25 @@ def conv2d_backward_data(
         if grad_flat is None:
             grad_flat = grad.transpose(1, 0, 2, 3).reshape(out_channels, -1)
         w_t = weight.reshape(out_channels, -1).T
-        grad_cols = arena.empty((w_t.shape[0], grad_flat.shape[1]),
-                                np.result_type(w_t.dtype, grad_flat.dtype))
+        grad_cols = np.empty((w_t.shape[0], grad_flat.shape[1]),
+                             np.result_type(w_t.dtype, grad_flat.dtype))
         parallel_gemm(w_t, grad_flat, out=grad_cols)
-        grad_x = col2im(grad_cols, x_shape, kernel_h, kernel_w, stride, padding)
-        arena.release(grad_cols)
-        return grad_x
+        return col2im(grad_cols, x_shape, kernel_h, kernel_w, stride, padding)
 
     if stride == 1:
         # oh + 2*(k-1-p) - k + 1 == H exactly, so the plain padded gather works.
-        grad_cols = im2col(grad, kernel_h, kernel_w, 1, kernel_h - 1 - padding, arena)
+        grad_cols = im2col(grad, kernel_h, kernel_w, 1, kernel_h - 1 - padding)
     else:
         # Fractional stride: scatter grad onto a zero grid with s-1 zeros
         # between elements (plus the k-1-p border), then gather at stride 1.
         left = kernel_h - 1 - padding
-        dilated = arena.zeros(
+        dilated = np.zeros(
             (batch, out_channels, height + kernel_h - 1, width + kernel_w - 1), grad.dtype
         )
         dilated[
             :, :, left:left + stride * out_h:stride, left:left + stride * out_w:stride
         ] = grad
-        grad_cols = im2col(dilated, kernel_h, kernel_w, 1, 0, arena)
-        arena.release(dilated)
+        grad_cols = im2col(dilated, kernel_h, kernel_w, 1, 0)
 
     # Rows of grad_cols are ordered (out_channel, kh, kw); the matching
     # weight matrix is the 180°-rotated kernel with in/out channels swapped.
@@ -740,7 +716,6 @@ def conv2d_backward_data(
         dtype=np.result_type(w_rot.dtype, grad_cols.dtype),
     )
     parallel_gemm(w_rot, grad_cols, out=grad_x)
-    arena.release(grad_cols)
     return grad_x.reshape(in_channels, batch, height, width).transpose(1, 0, 2, 3)
 
 
@@ -794,8 +769,7 @@ def conv2d(
     cout_g = out_channels // groups
     rows_g = cin_g * kernel_h * kernel_w
 
-    arena = default_arena()
-    cols = im2col(x.data, kernel_h, kernel_w, stride, padding, arena)
+    cols = im2col(x.data, kernel_h, kernel_w, stride, padding)
     gemm_out = np.empty(
         (out_channels, cols.shape[1]),
         dtype=np.result_type(weight.data.dtype, cols.dtype),
@@ -821,10 +795,10 @@ def conv2d(
         if cols is None:
             raise RuntimeError(
                 "conv2d backward called twice on the same graph: the saved "
-                "column buffer was released to the arena after the first call"
+                "column buffer was freed after the first call"
             )
-        # Pack grad into (C_out, N*oh*ow) GEMM layout via an arena scratch.
-        grad_flat = arena.empty((out_channels, batch * out_h * out_w), grad.dtype)
+        # Pack grad into (C_out, N*oh*ow) GEMM layout.
+        grad_flat = np.empty((out_channels, batch * out_h * out_w), grad.dtype)
         np.copyto(
             grad_flat.reshape(out_channels, batch, out_h, out_w),
             grad.transpose(1, 0, 2, 3),
@@ -845,11 +819,10 @@ def conv2d(
                     shard="rows",
                 )
         grad_weight = grad_weight.reshape(weight.shape)
-        arena.release(cols)
         cols = None  # the columns are dead; a second backward call is a bug
         if groups == 1:
             grad_x = conv2d_backward_data(
-                grad, weight.data, x.shape, stride, padding, arena, grad_flat=grad_flat
+                grad, weight.data, x.shape, stride, padding, grad_flat=grad_flat
             )
         else:
             # Each group is an independent small convolution: run backward-data
@@ -864,21 +837,14 @@ def conv2d(
                     group_shape,
                     stride,
                     padding,
-                    arena,
                     grad_flat=grad_flat[out_sl],
                 )
-        arena.release(grad_flat)
         if bias_t is None:
             return grad_x, grad_weight
         grad_bias = grad.sum(axis=(0, 2, 3))
         return grad_x, grad_weight, grad_bias
 
-    tensor = Tensor._from_op(out.astype(x.dtype, copy=False), parents, backward, "conv2d")
-    if not tensor.requires_grad:
-        # Inference path: the backward closure was discarded, so the column
-        # buffer can return to the arena immediately.
-        arena.release(cols)
-    return tensor
+    return Tensor._from_op(out.astype(x.dtype, copy=False), parents, backward, "conv2d")
 
 
 def max_pool2d(x: ArrayLike, kernel_size: int, stride: Optional[int] = None) -> Tensor:
@@ -889,25 +855,22 @@ def max_pool2d(x: ArrayLike, kernel_size: int, stride: Optional[int] = None) -> 
     out_h = (height - kernel_size) // stride + 1
     out_w = (width - kernel_size) // stride + 1
 
-    arena = default_arena()
     reshaped = x.data.reshape(batch * channels, 1, height, width)
-    cols = im2col(reshaped, kernel_size, kernel_size, stride, 0, arena)
+    cols = im2col(reshaped, kernel_size, kernel_size, stride, 0)
     argmax = cols.argmax(axis=0)
     out = cols[argmax, np.arange(cols.shape[1])]
     out = out.reshape(batch, channels, out_h, out_w)
     cols_shape, cols_dtype = cols.shape, cols.dtype
-    # Only the argmax indices are needed for backward; the columns themselves
-    # can return to the arena right away.
-    arena.release(cols)
+    # Only the argmax indices are needed for backward; the closure must not
+    # keep the columns alive.
     del cols
 
     def backward(grad: np.ndarray):
-        grad_cols = arena.zeros(cols_shape, cols_dtype)
+        grad_cols = np.zeros(cols_shape, cols_dtype)
         grad_cols[argmax, np.arange(cols_shape[1])] = grad.reshape(-1)
         grad_x = col2im(
             grad_cols, (batch * channels, 1, height, width), kernel_size, kernel_size, stride, 0
         )
-        arena.release(grad_cols)
         return (grad_x.reshape(x.shape),)
 
     return Tensor._from_op(out, (x,), backward, "max_pool2d")
@@ -921,13 +884,11 @@ def avg_pool2d(x: ArrayLike, kernel_size: int, stride: Optional[int] = None) -> 
     out_h = (height - kernel_size) // stride + 1
     out_w = (width - kernel_size) // stride + 1
 
-    arena = default_arena()
     reshaped = x.data.reshape(batch * channels, 1, height, width)
-    cols = im2col(reshaped, kernel_size, kernel_size, stride, 0, arena)
+    cols = im2col(reshaped, kernel_size, kernel_size, stride, 0)
     out = cols.mean(axis=0)
     out = out.reshape(batch, channels, out_h, out_w)
     window = kernel_size * kernel_size
-    arena.release(cols)
     del cols
 
     def backward(grad: np.ndarray):
@@ -952,17 +913,14 @@ def fake_quantize(x: ArrayLike, scale: float, levels: int, low: float, high: flo
     One kernel replacing the clip → div → mul → ste_round → div → mul chain:
     the constant rescalings cancel in the backward pass, so the exact STE
     gradient is ``grad`` masked to the clip range.  The normalize/round
-    intermediate lives in one arena scratch buffer.
+    intermediate lives in one scratch buffer.
     """
     x = ensure_tensor(x)
-    arena = default_arena()
-    scratch = arena.empty(x.shape, x.dtype)
-    np.multiply(x.data, 1.0 / scale, out=scratch)
+    scratch = np.multiply(x.data, 1.0 / scale)
     np.clip(scratch, low, high, out=scratch)
     np.multiply(scratch, levels, out=scratch)
     np.round(scratch, out=scratch)
     out = scratch * (scale / levels)
-    arena.release(scratch)
 
     def backward(grad: np.ndarray):
         mask = (x.data >= low * scale) & (x.data <= high * scale)
@@ -997,19 +955,17 @@ def batch_norm(
     weight_t = ensure_tensor(weight) if weight is not None else None
     bias_t = ensure_tensor(bias) if bias is not None else None
 
-    arena = default_arena()
-    # Layout-matched scratch (not plain .empty): the variance and the
-    # backward sums reduce over these intermediates, and NumPy's pairwise
-    # summation order follows their strides — see BufferArena.empty_like.
-    centered = arena.empty_like(x.data)
+    # Layout-matched intermediates (``empty_like`` keeps ``x``'s memory
+    # order): the variance and the backward sums reduce over them, and
+    # NumPy's pairwise summation order follows their strides, so a
+    # C-contiguous copy of a transposed conv output could differ in the
+    # last bit.
+    centered = np.empty_like(x.data)
     use_batch_stats = mean is None
     if use_batch_stats:
         mu = x.data.mean(axis=axes, keepdims=True)
         np.subtract(x.data, mu, out=centered)
-        squared = arena.empty_like(x.data)
-        np.multiply(centered, centered, out=squared)
-        variance = np.mean(squared, axis=axes, keepdims=True)
-        arena.release(squared)
+        variance = np.mean(centered * centered, axis=axes, keepdims=True)
     else:
         mu = np.asarray(mean, dtype=x.dtype)
         variance = np.asarray(var, dtype=x.dtype)
@@ -1017,22 +973,14 @@ def batch_norm(
     inv_std = 1.0 / np.sqrt(variance + eps)
 
     param_shape = tuple(1 if i in axes else x.shape[i] for i in range(x.ndim))
+    xhat = centered * inv_std
+    del centered
     if weight_t is not None:
-        # xhat is pure backward state here, so it can live in the arena; the
-        # affine output below is a fresh (escaping) array.
-        xhat = arena.empty_like(x.data)
-        np.multiply(centered, inv_std, out=xhat)
-        arena.release(centered)
         out = xhat * weight_t.data.reshape(param_shape) + bias_t.data.reshape(param_shape)
         parents: Tuple[Tensor, ...] = (x, weight_t, bias_t)
     else:
-        # Without affine parameters the output *is* xhat — it escapes into
-        # the graph, so it must own its memory (no arena).
-        xhat = centered * inv_std
-        arena.release(centered)
         out = xhat
         parents = (x,)
-    del centered
     count = int(np.prod([x.shape[a] for a in axes]))
 
     def backward(grad: np.ndarray):
@@ -1040,8 +988,7 @@ def batch_norm(
         if xhat is None:
             raise RuntimeError(
                 "batch_norm backward called twice on the same graph: the saved "
-                "normalized activations were released to the arena after the "
-                "first call"
+                "normalized activations were freed after the first call"
             )
         if weight_t is not None:
             grad_weight = (grad * xhat).sum(axis=axes).reshape(weight_t.shape)
@@ -1056,14 +1003,11 @@ def batch_norm(
         else:
             grad_x = grad_xhat * inv_std
         if weight_t is not None:
-            arena.release(xhat)
             xhat = None  # consumed; a second backward call is a bug
             return grad_x, grad_weight, grad_bias
         return (grad_x,)
 
     tensor = Tensor._from_op(out.astype(x.dtype, copy=False), parents, backward, "batch_norm")
-    if not tensor.requires_grad and weight_t is not None:
-        arena.release(xhat)
     return tensor, mu, variance
 
 
@@ -1120,28 +1064,24 @@ def csq_reconstruct(
     num_bits = m_p.shape[0]
     levels = float(2 ** num_bits - 1)
     pow2 = _pow2_weights(num_bits)
-    arena = default_arena()
 
-    def _sigmoid_into(m: np.ndarray, temperature: float) -> np.ndarray:
-        """Arena-backed stable sigmoid of ``temperature * m``."""
-        gate = arena.empty(m.shape, m.dtype)
-        expo = arena.empty(m.shape, m.dtype)
-        np.abs(m, out=expo)
+    def _sigmoid(m: np.ndarray, temperature: float) -> np.ndarray:
+        """Stable sigmoid of ``temperature * m`` in two buffers."""
+        expo = np.abs(m)
         expo *= -temperature
         np.exp(expo, out=expo)  # exp(-|t*m|)
-        np.add(expo, 1.0, out=gate)
+        gate = np.add(expo, 1.0)
         np.reciprocal(gate, out=gate)  # 1 / (1 + exp(-|t*m|))
         np.multiply(expo, gate, out=expo)  # the m < 0 branch
         np.copyto(gate, expo, where=m < 0.0)
-        arena.release(expo)
         return gate
 
     if hard_values:
         gate_p = (m_p.data >= 0.0).astype(np.float32)
         gate_n = (m_n.data >= 0.0).astype(np.float32)
     else:
-        gate_p = _sigmoid_into(m_p.data, beta)
-        gate_n = _sigmoid_into(m_n.data, beta)
+        gate_p = _sigmoid(m_p.data, beta)
+        gate_n = _sigmoid(m_n.data, beta)
 
     if mask_t is None:
         gate_b = None
@@ -1153,20 +1093,13 @@ def csq_reconstruct(
         gate_b = _stable_sigmoid(beta_mask * mask_t.data)
         coeff = pow2 * gate_b
 
-    diff = arena.empty(gate_p.shape, np.result_type(gate_p.dtype, gate_n.dtype))
-    np.subtract(gate_p, gate_n, out=diff)
+    diff = gate_p - gate_n
     accumulated = np.tensordot(coeff, diff, axes=(0, 0))
     scale_over_levels = scale.data / levels
     out = accumulated * scale_over_levels
 
     parents = (m_p, m_n, scale) if mask_t is None else (m_p, m_n, scale, mask_t)
     bit_broadcast = (num_bits,) + (1,) * accumulated.ndim
-
-    def _release_state():
-        if not hard_values:
-            arena.release(gate_p)
-            arena.release(gate_n)
-        arena.release(diff)
 
     def backward(grad: np.ndarray):
         grad_acc = grad * scale_over_levels
@@ -1178,13 +1111,10 @@ def csq_reconstruct(
             grad_m_p = grad_m_n = None
         else:
             # d out / d diff[b] = grad_acc * coeff[b]; chain through the
-            # sigmoid Jacobian beta * g * (1 - g) per stacked gate.  The
-            # Jacobians are built in one arena scratch; the returned grads
-            # must own their memory (they become leaf ``.grad`` buffers).
-            grad_diff = arena.empty(gate_p.shape, np.result_type(coeff.dtype, grad_acc.dtype))
-            np.multiply(coeff.reshape(bit_broadcast), grad_acc[None], out=grad_diff)
-            jac = arena.empty(gate_p.shape, gate_p.dtype)
-            np.subtract(1.0, gate_p, out=jac)
+            # sigmoid Jacobian beta * g * (1 - g) per stacked gate, built in
+            # one scratch buffer.
+            grad_diff = coeff.reshape(bit_broadcast) * grad_acc[None]
+            jac = np.subtract(1.0, gate_p)
             np.multiply(jac, gate_p, out=jac)
             jac *= beta
             grad_m_p = grad_diff * jac
@@ -1192,23 +1122,15 @@ def csq_reconstruct(
             np.multiply(jac, gate_n, out=jac)
             jac *= -beta
             grad_m_n = grad_diff * jac
-            arena.release(jac)
-            arena.release(grad_diff)
         if mask_t is None:
-            _release_state()
             return grad_m_p, grad_m_n, grad_scale
         if gate_b is None:
-            _release_state()
             return grad_m_p, grad_m_n, grad_scale, None
         grad_coeff = diff.reshape(num_bits, -1) @ grad_acc.reshape(-1)
         grad_m_b = (pow2 * grad_coeff) * (beta_mask * gate_b * (1.0 - gate_b))
-        _release_state()
         return grad_m_p, grad_m_n, grad_scale, grad_m_b
 
-    tensor = Tensor._from_op(out, parents, backward, "csq_reconstruct")
-    if not tensor.requires_grad:
-        _release_state()
-    return tensor
+    return Tensor._from_op(out, parents, backward, "csq_reconstruct")
 
 
 def adaptive_avg_pool2d(x: ArrayLike, output_size: int = 1) -> Tensor:

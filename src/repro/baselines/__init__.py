@@ -7,7 +7,8 @@
 * :mod:`repro.baselines.hawq` — HAWQ-style Hessian-sensitivity precision
   assignment,
 * :mod:`repro.baselines.haq_like` — a greedy budget-constrained search
-  standing in for HAQ's reinforcement-learning agent (see DESIGN.md).
+  standing in for HAQ's reinforcement-learning agent (its module docstring
+  gives the rationale).
 """
 
 from repro.baselines.uniform_qat import UniformQATConfig, train_uniform_qat, convert_to_qat

@@ -2,8 +2,9 @@
 
 Because the execution environment has no network access, the CIFAR-10 and
 ImageNet workloads of the paper are replaced by deterministic synthetic
-image-classification datasets (see :mod:`repro.data.synthetic` and the
-substitution table in DESIGN.md).  The loaders and transforms mirror the
+image-classification datasets (:mod:`repro.data.synthetic` documents the
+substitution and why it preserves the properties the paper's comparisons
+rely on).  The loaders and transforms mirror the
 standard CIFAR training pipeline (random crop with padding, horizontal flip,
 per-channel normalization).
 """

@@ -99,11 +99,6 @@ class QuantizedTensorRecord:
     packed_bits: int = 0  #: packed width per element this layer used on disk
     act_mode: str = "observer"  #: activation clip convention (``observer``/``pact``)
     act_range: Optional[float] = None  #: frozen activation clip range; None = float
-    #: The on-disk packed payload, kept after unpacking so the bit-plane
-    #: GEMM kernel can slice weight planes straight out of the bit stream
-    #: (``repro.runtime.intgemm.bitplanes_from_payload``) without a
-    #: pack → unpack → repack round trip.  ``None`` for in-memory records.
-    packed: Optional[PackedCodes] = None
     scheme: str = "csq"  #: quantization scheme id that produced the codes
     #: Dequantization spec for non-symmetric schemes (see
     #: :func:`repro.quant.functional.dequantize_with_spec`); ``None`` keeps
@@ -300,7 +295,6 @@ def save_artifact(
             packed_bits=packed.bits,
             act_mode=export.act_mode,
             act_range=None if export.act_range is None else float(export.act_range),
-            packed=packed,
             scheme=scheme_id,
             dequant=export.dequant,
         )
@@ -442,7 +436,6 @@ def load_artifact(path: str) -> Artifact:
                 packed_bits=int(pack["bits"]),
                 act_mode=str(entry.get("act_mode", "observer")),
                 act_range=None if act_range is None else float(act_range),
-                packed=packed,
                 scheme=scheme_id,
                 dequant=entry.get("dequant"),
             )

@@ -38,15 +38,7 @@ from repro.autograd.ops import im2col
 from repro.deploy.artifact import QuantizedTensorRecord
 from repro.nn.module import Module
 from repro.quant.act_quant import RANGE_FLOOR
-from repro.runtime.arena import BufferArena
-from repro.runtime.intgemm import (
-    KernelChoice,
-    bitplane_gemm,
-    bitplanes_from_payload,
-    natural_int_dtype,
-    pack_weight_bitplanes,
-    select_kernel,
-)
+from repro.runtime.intgemm import kernel_tag
 from repro.runtime.threadpool import parallel_gemm
 
 
@@ -101,18 +93,16 @@ class ActQuantSpec:
             return None
         return cls(record.act_bits, record.act_mode, record.act_range)
 
-    def quantize(self, x: np.ndarray, arena: BufferArena) -> np.ndarray:
-        """Integer activation codes of ``x`` in an arena-backed scratch buffer.
+    def quantize(self, x: np.ndarray) -> np.ndarray:
+        """Integer activation codes of ``x`` as a new float32 array.
 
-        Ownership of the returned buffer transfers to the caller (release it
-        back to ``arena`` once the GEMM gather has consumed it).  The buffer
-        matches ``x``'s memory layout (``empty_like``), not just its shape:
-        conv steps hand over transposed views of their output stores, and a
-        layout-matched destination lets every ufunc pass iterate in memory
-        order — quantizing into a C-contiguous buffer from such a view costs
-        ~40% more on the strided traversal alone.
+        The buffer matches ``x``'s memory layout (``empty_like``), not just
+        its shape: conv steps hand over transposed views of their output
+        stores, and a layout-matched destination lets every ufunc pass
+        iterate in memory order — quantizing into a C-contiguous buffer from
+        such a view costs ~40% more on the strided traversal alone.
         """
-        codes = arena.empty_like(x) if x.dtype == np.float32 else arena.empty(x.shape, np.float32)
+        codes = np.empty_like(x, dtype=np.float32)
         if self.mode == "pact":
             np.clip(x, 0.0, self.range, out=codes)
             codes /= self.divisor
@@ -142,16 +132,15 @@ class ActQuantSpec:
 class GemmKernel:
     """Executes one layer's GEMM into the step's float32 output.
 
-    The kernel is chosen once at plan-compile time by
-    :func:`repro.runtime.intgemm.select_kernel` from the layer's reduction
-    length and code bit widths (``REPRO_INT_GEMM`` overrides the policy);
-    steps only ever call :meth:`conv` / :meth:`linear`.  ``tag`` is the
-    per-layer suffix the plan summary shows (``int8``/``int16``/``bp2``);
-    float kernels keep their describe strings unchanged.
+    Steps only ever call :meth:`conv` / :meth:`linear`.  ``tag`` records the
+    GEMM's numeric semantics, certified once at plan-compile time by
+    :func:`repro.runtime.intgemm.kernel_tag`: ``int8``/``int16`` when the
+    float32 GEMM of integer codes is an exact integer GEMM, ``f32``
+    otherwise.  The plan summary shows integer tags per layer; ``f32``
+    layers keep their describe strings unchanged.
     """
 
     tag = "f32"
-    is_float = True
 
     def conv(self, cols: np.ndarray, out: np.ndarray) -> None:  # pragma: no cover
         raise NotImplementedError
@@ -161,10 +150,18 @@ class GemmKernel:
 
 
 class FloatGemmKernel(GemmKernel):
-    """Float32 BLAS on the float operand matrix (the default path)."""
+    """Float32 BLAS on the operand matrix — the one dense GEMM path.
 
-    def __init__(self, w_mat: np.ndarray) -> None:
+    With integer weight codes against integer activation codes and a
+    ``gemm_bound`` under 2**24, every product and partial sum is an integer
+    exactly representable in float32, so this BLAS call **is** an exact
+    int32-accumulating integer GEMM (``tag`` ``int8``/``int16``) — and
+    bitwise identical to the float32 eval graph by construction.
+    """
+
+    def __init__(self, w_mat: np.ndarray, tag: str = "f32") -> None:
         self.w_mat = w_mat
+        self.tag = tag
         self._w_t: Optional[np.ndarray] = None
 
     @property
@@ -223,123 +220,18 @@ class GroupedGemmKernel(GemmKernel):
         raise PlanError("GroupedGemmKernel only executes convolutions")
 
 
-class DenseIntGemmKernel(FloatGemmKernel):
-    """Dense integer GEMM with compile-time-certified accumulation.
-
-    ``w_codes`` holds the weight codes at their natural integer dtype
-    (int8/int16 — the compiled plan's stored representation).  The
-    ``f32`` engine issues the *identical* BLAS call the float path would:
-    with the layer's bound under 2**24 every product and partial sum is an
-    integer exactly representable in float32, so the float pipeline **is**
-    an exact int32-accumulating integer GEMM — integer semantics at full
-    BLAS speed, and bitwise parity with the float32 eval graph by
-    construction.  The ``f64``/``exact`` engines (int64-range accumulation
-    for bounds past 2**24; reachable via ``REPRO_INT_GEMM=dense``) compute
-    the true integer result where float32 would round — served logits then
-    deviate from the float32-trained eval graph by design.
-    """
-
-    is_float = False
-
-    def __init__(self, w_codes: np.ndarray, w_mat: np.ndarray, choice: KernelChoice) -> None:
-        super().__init__(w_mat)
-        self.w_codes = w_codes
-        self.engine = choice.engine
-        self.acc_dtype = choice.acc_dtype
-        self.tag = choice.tag
-        self._w_wide: Optional[np.ndarray] = None
-
-    def _wide(self) -> np.ndarray:
-        if self._w_wide is None:
-            dtype = np.float64 if self.engine == "f64" else np.int64
-            self._w_wide = self.w_codes.astype(dtype)
-        return self._w_wide
-
-    def conv(self, cols: np.ndarray, out: np.ndarray) -> None:
-        if self.engine == "f32":
-            parallel_gemm(self.w_mat, cols, out=out)
-            return
-        wide = self._wide()
-        np.copyto(out, parallel_gemm(wide, cols.astype(wide.dtype)), casting="unsafe")
-
-    def linear(self, x: np.ndarray) -> np.ndarray:
-        if self.engine == "f32":
-            return x @ self.w_t
-        wide = self._wide()
-        return parallel_gemm(x.astype(wide.dtype), wide.T).astype(np.float32)
-
-
-class BitplaneGemmKernel(GemmKernel):
-    """Popcount GEMM over packed bit planes (very low weight bits).
-
-    The weight planes are sliced straight out of the artifact's packed
-    payload when the record still carries it; activation codes are
-    re-packed per call.  Results are exact integers — bitwise identical to
-    the dense kernel — but the path only pays off where float BLAS is slow
-    or absent (see the selection policy); it is reached via
-    ``REPRO_INT_GEMM=bitplane``.
-    """
-
-    is_float = False
-
-    def __init__(self, planes, a_bits: int, choice: KernelChoice) -> None:
-        self.planes = planes
-        self.a_bits = a_bits
-        self.acc_dtype = choice.acc_dtype
-        self.tag = choice.tag
-
-    def conv(self, cols: np.ndarray, out: np.ndarray) -> None:
-        codes = cols.astype(np.int32)
-        np.copyto(out, bitplane_gemm(self.planes, codes, self.a_bits), casting="unsafe")
-
-    def linear(self, x: np.ndarray) -> np.ndarray:
-        codes = x.T.astype(np.int32)  # (K, batch) column-major view of the batch
-        acc = bitplane_gemm(self.planes, codes, self.a_bits)
-        return np.ascontiguousarray(acc.T).astype(np.float32)
-
-
 def _record_kernel(
     record: QuantizedTensorRecord, w_mat: np.ndarray, act_quant: Optional[ActQuantSpec]
-) -> GemmKernel:
-    """Build the compile-time-selected GEMM kernel for one artifact record.
-
-    The natural-dtype code matrix and the bit planes are memoized on the
-    record (like the float operand), so every session cloned from one
-    artifact shares a single copy per representation.
-    """
-    rows = w_mat.shape[0]
-    q_flat = record.q.reshape(rows, -1)
-    w_lo = int(q_flat.min()) if q_flat.size else 0
-    w_hi = int(q_flat.max()) if q_flat.size else 0
-    choice = select_kernel(
+) -> FloatGemmKernel:
+    """The GEMM kernel of one artifact record, tagged with its certified semantics."""
+    q = record.q
+    tag = kernel_tag(
         k=w_mat.shape[1],
-        w_lo=w_lo,
-        w_hi=w_hi,
+        w_lo=int(q.min()) if q.size else 0,
+        w_hi=int(q.max()) if q.size else 0,
         a_bits=act_quant.bits if act_quant is not None else None,
-        w_plane_bits=record.packed_bits or None,
     )
-    if choice.kind == "dense":
-        w_codes = getattr(record, "_w_codes_nat", None)
-        if w_codes is None:
-            w_codes = np.ascontiguousarray(q_flat.astype(natural_int_dtype(w_lo, w_hi)))
-            w_codes.flags.writeable = False
-            record._w_codes_nat = w_codes
-        return DenseIntGemmKernel(w_codes, w_mat, choice)
-    if choice.kind == "bitplane":
-        planes = getattr(record, "_bitplanes", None)
-        if planes is None:
-            if record.packed is not None and record.packed.bits:
-                planes = bitplanes_from_payload(
-                    record.packed.data,
-                    record.packed.bits,
-                    record.packed.offset,
-                    (rows, q_flat.shape[1]),
-                )
-            else:
-                planes = pack_weight_bitplanes(q_flat)
-            record._bitplanes = planes
-        return BitplaneGemmKernel(planes, act_quant.bits, choice)
-    return FloatGemmKernel(w_mat)
+    return FloatGemmKernel(w_mat, tag)
 
 
 # ---------------------------------------------------------------------------
@@ -368,14 +260,12 @@ class ConvStep(Step):
     ``shift = (bias - mean) * gamma / sqrt(var + eps) + beta`` when a BN
     layer was folded, or plain dequantization and bias otherwise.  With an
     ``act_quant`` spec the input is first snapped to integer activation
-    codes (arena scratch), the GEMM multiplies codes by codes, and the
-    activation scale ``r / levels`` rides in ``mult`` alongside the weight
-    dequantization — the caller folds it in when constructing the step.
+    codes, the GEMM multiplies codes by codes, and the activation scale
+    ``r / levels`` rides in ``mult`` alongside the weight dequantization —
+    the caller folds it in when constructing the step.
 
-    The im2col column matrix is drawn from (and released back to) the
-    plan's shared :class:`~repro.runtime.arena.BufferArena`, so all conv
-    steps of a plan cycle through one column buffer sized by the largest
-    layer; the GEMM output lives in a grow-only store owned by the step
+    The code buffer and the im2col column matrix are scratch freed within
+    the call; the GEMM output lives in a grow-only store owned by the step
     (its lifetime crosses the step boundary — the next step reads it).
     Consequence: a step's output is only valid until its next call — plans
     are therefore not re-entrant, and
@@ -394,7 +284,6 @@ class ConvStep(Step):
         stride: int,
         padding: int,
         relu: bool = False,
-        arena: Optional[BufferArena] = None,
         act_quant: Optional[ActQuantSpec] = None,
         kernel: Optional[GemmKernel] = None,
         groups: int = 1,
@@ -417,7 +306,6 @@ class ConvStep(Step):
         self.padding = padding
         self.relu = relu
         self.act_quant = act_quant
-        self.arena = arena if arena is not None else BufferArena(f"plan:{name}")
         # Flat backing store sliced per call: a prefix slice of a flat
         # buffer reshapes to a contiguous (rows, columns) matrix, so varying
         # batch sizes (the Server coalesces 1..max_batch requests per
@@ -441,17 +329,9 @@ class ConvStep(Step):
         if self._out_store.size < self.out_channels * columns:
             self._out_store = np.empty(self.out_channels * columns, dtype=np.float32)
         out = self._out_store[: self.out_channels * columns].reshape(self.out_channels, columns)
-        # The column matrix (and, on the integer-activation path, the code
-        # buffer) is pure scratch within this call: quantize, gather, GEMM,
-        # release — every conv step of the plan shares the arena's blocks.
         if self.act_quant is not None:
-            codes = self.act_quant.quantize(x, self.arena)
-            cols = im2col(codes, k, k, stride, self.padding, self.arena)
-            self.arena.release(codes)
-        else:
-            cols = im2col(x, k, k, stride, self.padding, self.arena)
-        self.kernel.conv(cols, out)
-        self.arena.release(cols)
+            x = self.act_quant.quantize(x)
+        self.kernel.conv(im2col(x, k, k, stride, self.padding), out)
         out *= self.mult
         if self.shift is not None:
             out += self.shift
@@ -461,7 +341,7 @@ class ConvStep(Step):
 
     def describe(self) -> str:
         tail = f"+{self.act_quant.describe()}" if self.act_quant is not None else ""
-        if not self.kernel.is_float:
+        if self.kernel.tag != "f32":
             tail += f"+{self.kernel.tag}"
         if self.groups > 1:
             tail += f"+g{self.groups}"
@@ -486,7 +366,6 @@ class LinearStep(Step):
         dequant: float,
         bias: Optional[np.ndarray],
         relu: bool = False,
-        arena: Optional[BufferArena] = None,
         act_quant: Optional[ActQuantSpec] = None,
         kernel: Optional[GemmKernel] = None,
     ) -> None:
@@ -499,7 +378,6 @@ class LinearStep(Step):
         self.bias = None if bias is None else bias.astype(np.float32)
         self.relu = relu
         self.act_quant = act_quant
-        self.arena = arena if arena is not None else BufferArena(f"plan:{name}")
         self._folded_bn = False
 
     def fold_bn(self, gamma_invstd: np.ndarray, shift: np.ndarray) -> None:
@@ -512,11 +390,8 @@ class LinearStep(Step):
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         if self.act_quant is not None:
-            codes = self.act_quant.quantize(x, self.arena)
-            out = self.kernel.linear(codes)
-            self.arena.release(codes)
-        else:
-            out = self.kernel.linear(x)
+            x = self.act_quant.quantize(x)
+        out = self.kernel.linear(x)
         if self.mult is not None:
             out *= self.mult
         if self.bias is not None:
@@ -527,7 +402,7 @@ class LinearStep(Step):
 
     def describe(self) -> str:
         tail = f"+{self.act_quant.describe()}" if self.act_quant is not None else ""
-        if not self.kernel.is_float:
+        if self.kernel.tag != "f32":
             tail += f"+{self.kernel.tag}"
         tail += "+bn" if self._folded_bn else ""
         tail += "+relu" if self.relu else ""
@@ -558,11 +433,10 @@ class ReluStep(Step):
 
 
 class MaxPoolStep(Step):
-    def __init__(self, kernel_size: int, stride: int, arena: Optional[BufferArena] = None) -> None:
+    def __init__(self, kernel_size: int, stride: int) -> None:
         self.name = f"maxpool{kernel_size}s{stride}"
         self.kernel_size = kernel_size
         self.stride = stride
-        self.arena = arena if arena is not None else BufferArena(f"plan:{self.name}")
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         k, s = self.kernel_size, self.stride
@@ -573,21 +447,18 @@ class MaxPoolStep(Step):
             return view.max(axis=5).max(axis=3)
         cols = im2col(
             np.ascontiguousarray(x).reshape(batch * channels, 1, height, width),
-            k, k, s, 0, self.arena,
+            k, k, s, 0,
         )
         out_h = (height - k) // s + 1
         out_w = (width - k) // s + 1
-        out = cols.max(axis=0).reshape(batch, channels, out_h, out_w)
-        self.arena.release(cols)
-        return out
+        return cols.max(axis=0).reshape(batch, channels, out_h, out_w)
 
 
 class AvgPoolStep(Step):
-    def __init__(self, kernel_size: int, stride: int, arena: Optional[BufferArena] = None) -> None:
+    def __init__(self, kernel_size: int, stride: int) -> None:
         self.name = f"avgpool{kernel_size}s{stride}"
         self.kernel_size = kernel_size
         self.stride = stride
-        self.arena = arena if arena is not None else BufferArena(f"plan:{self.name}")
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         k, s = self.kernel_size, self.stride
@@ -597,13 +468,11 @@ class AvgPoolStep(Step):
             return view.mean(axis=(3, 5))
         cols = im2col(
             np.ascontiguousarray(x).reshape(batch * channels, 1, height, width),
-            k, k, s, 0, self.arena,
+            k, k, s, 0,
         )
         out_h = (height - k) // s + 1
         out_w = (width - k) // s + 1
-        out = cols.mean(axis=0).reshape(batch, channels, out_h, out_w)
-        self.arena.release(cols)
-        return out
+        return cols.mean(axis=0).reshape(batch, channels, out_h, out_w)
 
 
 class GlobalAvgPoolStep(Step):
@@ -775,11 +644,9 @@ class PlanBuilder:
     def __init__(
         self,
         weights: Dict[int, QuantizedTensorRecord],
-        arena: Optional[BufferArena] = None,
         float_activations: bool = False,
     ) -> None:
         self.weights = weights
-        self.arena = arena if arena is not None else BufferArena("plan")
         self.float_activations = float_activations
         self.steps: List[Step] = []
 
@@ -859,7 +726,6 @@ class PlanBuilder:
                 kernel_size=module.kernel_size,
                 stride=module.stride,
                 padding=module.padding,
-                arena=self.arena,
                 act_quant=act_quant,
                 kernel=kernel,
                 groups=groups,
@@ -878,8 +744,7 @@ class PlanBuilder:
         # bias when the record says the layer has none.
         w_mat, dequant, bias, act_quant, kernel = self._conv_record(module, name)
         return LinearStep(
-            name, w_mat, dequant, bias, relu=relu,
-            arena=self.arena, act_quant=act_quant, kernel=kernel,
+            name, w_mat, dequant, bias, relu=relu, act_quant=act_quant, kernel=kernel,
         )
 
     def linear(self, module: Module, name: str) -> None:
@@ -907,9 +772,7 @@ class PlanBuilder:
 
     # -- composition ----------------------------------------------------
     def subplan(self) -> "PlanBuilder":
-        return PlanBuilder(
-            self.weights, arena=self.arena, float_activations=self.float_activations
-        )
+        return PlanBuilder(self.weights, float_activations=self.float_activations)
 
     def compile(self, module: Module, name: str) -> None:
         """Dispatch one module (leaf or composite) into the step stream."""
@@ -983,7 +846,6 @@ def register_plan_handler(*class_names: str):
 def compile_plan(
     model: Module,
     weights: Dict[int, QuantizedTensorRecord],
-    arena: Optional[BufferArena] = None,
     float_activations: bool = False,
 ) -> List[Step]:
     """Compile ``model`` (an eval-mode float skeleton) into a flat step list.
@@ -992,10 +854,8 @@ def compile_plan(
     records; modules without a record fall back to their dense float weight.
     Records carrying a frozen activation range compile to integer-activation
     steps unless ``float_activations=True`` forces float semantics.
-    All scratch-hungry steps share ``arena`` (one is created when omitted);
-    callers running plans concurrently should pass per-plan arenas.
     """
-    builder = PlanBuilder(weights, arena=arena, float_activations=float_activations)
+    builder = PlanBuilder(weights, float_activations=float_activations)
     builder.compile(model, "")
     if not builder.steps:
         raise PlanError(f"Model {type(model).__name__} compiled to an empty plan")
@@ -1064,12 +924,12 @@ def _handle_relu(builder: PlanBuilder, module: Module, name: str) -> None:
 
 @register_plan_handler("MaxPool2d")
 def _handle_maxpool(builder: PlanBuilder, module: Module, name: str) -> None:
-    builder.steps.append(MaxPoolStep(module.kernel_size, module.stride, arena=builder.arena))
+    builder.steps.append(MaxPoolStep(module.kernel_size, module.stride))
 
 
 @register_plan_handler("AvgPool2d")
 def _handle_avgpool(builder: PlanBuilder, module: Module, name: str) -> None:
-    builder.steps.append(AvgPoolStep(module.kernel_size, module.stride, arena=builder.arena))
+    builder.steps.append(AvgPoolStep(module.kernel_size, module.stride))
 
 
 @register_plan_handler("AdaptiveAvgPool2d")

@@ -25,7 +25,6 @@ import numpy as np
 from repro import obs
 from repro.deploy.artifact import Artifact, ArtifactError, load_artifact
 from repro.deploy.plan import Step, compile_plan, plan_summary, step_kernel_tags
-from repro.runtime.arena import BufferArena
 
 
 class InferenceSession:
@@ -61,9 +60,7 @@ class InferenceSession:
     across calls, so a session must not execute two batches concurrently.
     The :class:`~repro.deploy.server.Server` serializes each worker's
     requests through its own session — pass ``workers=N`` there (it calls
-    :meth:`clone` per extra worker) for thread-parallel serving.  Each
-    session owns a private :class:`~repro.runtime.arena.BufferArena` its
-    plan steps draw scratch from, so concurrent sessions never contend.
+    :meth:`clone` per extra worker) for thread-parallel serving.
     """
 
     def __init__(
@@ -102,9 +99,8 @@ class InferenceSession:
         modules = dict(skeleton.named_modules())
         for name, record in artifact.quantized.items():
             weights[id(modules[name])] = record
-        self.arena = BufferArena("session")
         self.plan: List[Step] = compile_plan(
-            skeleton, weights, arena=self.arena, float_activations=float_activations
+            skeleton, weights, float_activations=float_activations
         )
         self._calls = 0
         self._examples = 0
@@ -123,8 +119,8 @@ class InferenceSession:
     def clone(self) -> "InferenceSession":
         """An independent session over the same (already unpacked) artifact.
 
-        Clones share the artifact's weight records but own their plan,
-        buffers and arena, so they can run batches concurrently with the
+        Clones share the artifact's weight records but own their plan and
+        buffers, so they can run batches concurrently with the
         original — the unit of parallelism for multi-worker serving.
         """
         return InferenceSession(
@@ -179,11 +175,11 @@ class InferenceSession:
     def gemm_kernels(self) -> Dict[str, str]:
         """``layer name -> kernel tag`` for every GEMM step of the plan.
 
-        Tags come from the compile-time kernel selection
-        (:func:`repro.runtime.intgemm.select_kernel`): ``f32`` for the float
-        path, ``int8``/``int16`` for the dense integer kernel, ``bp{bits}``
-        for the bit-plane popcount kernel.  The same tags appear per layer
-        in :meth:`summary` (e.g. ``conv[conv1]+aq4+int8+bn+relu``).
+        Tags come from the compile-time certification
+        (:func:`repro.runtime.intgemm.kernel_tag`): ``int8``/``int16`` where
+        the float32 GEMM of integer codes is an exact integer GEMM, ``f32``
+        elsewhere.  Integer tags also appear per layer in :meth:`summary`
+        (e.g. ``conv[conv1]+aq4+int8+bn+relu``).
         """
 
         kernels: Dict[str, str] = {}

@@ -14,7 +14,7 @@ import platform
 import subprocess
 import sys
 import time
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 
 def repo_root() -> str:
@@ -42,14 +42,47 @@ def git_sha(root: Optional[str] = None) -> str:
         return "unknown"
 
 
+def blas_info() -> Tuple[str, object]:
+    """``(backend name and version, thread count)`` of NumPy's BLAS.
+
+    The thread count is what the loaded OpenBLAS itself reports (read
+    through ctypes from the library NumPy ships in ``numpy.libs``), since
+    float32 GEMM results can change with it; when that library cannot be
+    found it falls back to ``OPENBLAS_NUM_THREADS`` or ``"unknown"``.
+    """
+    import ctypes
+    import glob
+
+    import numpy as np
+
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        backend = f"{blas.get('name')} {blas.get('version')}"
+    except Exception:  # older NumPy without the dict config
+        backend = "unknown"
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "*openblas*")):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for symbol in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                       "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            getter = getattr(lib, symbol, None)
+            if getter is not None:
+                getter.restype = ctypes.c_int
+                return backend, int(getter())
+    return backend, os.environ.get("OPENBLAS_NUM_THREADS", "unknown")
+
+
 def environment_block() -> Dict[str, object]:
     """Interpreter + machine + compute-runtime metadata recorded per run.
 
     The thread configuration is part of a result's identity: runs recorded
-    at different ``REPRO_NUM_THREADS`` (or on hosts with different core
-    counts) must never be silently compared, so both are recorded — as are
-    the arena, int-GEMM, and telemetry knobs, and the git SHA of the
-    checkout that produced the numbers.
+    at different ``REPRO_NUM_THREADS`` or BLAS thread counts (or on hosts
+    with different core counts) must never be silently compared, so all of
+    them are recorded — as are the BLAS backend, the telemetry knob, and
+    the git SHA of the checkout that produced the numbers.
     """
     import numpy as np
 
@@ -58,6 +91,7 @@ def environment_block() -> Dict[str, object]:
         threads: object = num_threads()
     except Exception:  # library not importable (foreign checkout): raw env
         threads = os.environ.get("REPRO_NUM_THREADS", "unset")
+    blas, blas_threads = blas_info()
     return {
         "python": sys.version.split()[0],
         "numpy": np.__version__,
@@ -66,8 +100,8 @@ def environment_block() -> Dict[str, object]:
         "git_sha": git_sha(),
         "repro_num_threads": threads,
         "repro_num_threads_env": os.environ.get("REPRO_NUM_THREADS", "unset"),
-        "repro_arena": os.environ.get("REPRO_ARENA", "unset"),
-        "repro_int_gemm": os.environ.get("REPRO_INT_GEMM", "unset"),
+        "blas": blas,
+        "blas_threads": blas_threads,
         "repro_telemetry": os.environ.get("REPRO_TELEMETRY", "unset"),
     }
 
@@ -77,7 +111,7 @@ def environment_block() -> Dict[str, object]:
 REQUIRED_MANIFEST_FIELDS = ("label", "created_unix", "environment", "params")
 REQUIRED_ENVIRONMENT_FIELDS = (
     "git_sha", "numpy", "cpu_count",
-    "repro_num_threads", "repro_arena", "repro_int_gemm",
+    "repro_num_threads", "blas", "blas_threads",
 )
 
 

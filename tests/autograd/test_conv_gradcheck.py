@@ -83,10 +83,9 @@ class TestPoolingGradcheck:
 
 class TestScratchBufferIsolation:
     """im2col results must not alias anything another computation can touch:
-    conv2d saves them for backward while the padding scratch and other arena
-    blocks are recycled.  The columns are backed by an arena block whose
-    ownership transfers to the caller, so they must never share memory with
-    the input or with the columns of a later call.  The 1x1-kernel
+    conv2d saves them for backward while later calls gather their own
+    columns, so they must never share memory with the input or with the
+    columns of a later call.  The 1x1-kernel
     geometries below are the ones where a naive patch-view reshape would
     degenerate into a view of the input."""
 
@@ -107,15 +106,15 @@ class TestScratchBufferIsolation:
             np.testing.assert_array_equal(cols, expected)
 
     def test_back_to_back_conv_grads_unaffected_by_scratch_reuse(self):
-        # Two same-geometry convs: the second call reuses the padding scratch
-        # buffer, which must not corrupt the cols the first conv saved.
+        # Two same-geometry convs: the second call's scratch must not
+        # corrupt the cols the first conv saved.
         rng = np.random.default_rng(1)
         x1 = Tensor(rng.standard_normal((1, 4, 6, 6)), requires_grad=True)
         x2 = Tensor(rng.standard_normal((1, 4, 6, 6)), requires_grad=True)
         w1 = Tensor(rng.standard_normal((3, 4, 1, 1)), requires_grad=True)
         w2 = Tensor(rng.standard_normal((3, 4, 1, 1)), requires_grad=True)
         out1 = ops.conv2d(x1, w1, stride=1, padding=1)
-        out2 = ops.conv2d(x2, w2, stride=1, padding=1)  # overwrites the scratch
+        out2 = ops.conv2d(x2, w2, stride=1, padding=1)
         out1.sum().backward()
         expected_grad_w1 = np.zeros_like(w1.data)
         padded = np.pad(x1.data, ((0, 0), (0, 0), (1, 1), (1, 1)))

@@ -18,7 +18,6 @@ import pytest
 
 from repro.deploy.packing import pack_codes, required_bits, unpack_codes
 from repro.deploy.plan import ActQuantSpec, PlanError
-from repro.runtime.arena import BufferArena
 
 _TRIALS = 25
 
@@ -99,47 +98,41 @@ def _random_spec(rng) -> ActQuantSpec:
 
 def test_act_codes_are_integers_on_grid():
     rng = np.random.default_rng(2024)
-    arena = BufferArena("test")
     for _ in range(_TRIALS):
         spec = _random_spec(rng)
         shape = _random_shape(rng)
         # Inputs straddle the clip range on both sides, with exact zeros.
         x = (rng.standard_normal(shape) * 2.0 * spec.range).astype(np.float32)
         x.reshape(-1)[0] = 0.0
-        codes = spec.quantize(x, arena)
+        codes = spec.quantize(x)
         assert codes.dtype == np.float32
         np.testing.assert_array_equal(codes, np.round(codes))  # integer-valued
         assert float(codes.min()) >= 0.0
         assert float(codes.max()) <= spec.levels
-        arena.release(codes)
 
 
 def test_act_quantize_dequantize_idempotent():
     """Grid points are fixed points: Q(D(Q(x))) == Q(x)."""
     rng = np.random.default_rng(4)
-    arena = BufferArena("test")
     for _ in range(_TRIALS):
         spec = _random_spec(rng)
         x = (rng.standard_normal((5, 13)) * 1.5 * spec.range).astype(np.float32)
-        codes = spec.quantize(x, arena).copy()
-        again = spec.quantize(spec.dequantize(codes), arena)
+        codes = spec.quantize(x).copy()
+        again = spec.quantize(spec.dequantize(codes))
         np.testing.assert_array_equal(again, codes)
-        arena.release(again)
 
 
 def test_act_grid_error_bounded_by_half_step():
     rng = np.random.default_rng(11)
-    arena = BufferArena("test")
     for _ in range(_TRIALS):
         spec = _random_spec(rng)
         # Strictly inside the clip range, where the grid must be faithful.
         x = (rng.random((311,)) * spec.range).astype(np.float32)
-        codes = spec.quantize(x, arena)
+        codes = spec.quantize(x)
         reconstructed = spec.dequantize(codes)
         # Half a grid step plus float32 slack on the range arithmetic.
         bound = 0.5 * spec.scale * (1.0 + 1e-5) + 1e-6 * spec.range
         assert float(np.abs(reconstructed - np.clip(x, 0.0, spec.range)).max()) <= bound
-        arena.release(codes)
 
 
 def test_act_observer_matches_training_fake_quantize():
@@ -148,16 +141,14 @@ def test_act_observer_matches_training_fake_quantize():
     from repro.autograd.tensor import Tensor
 
     rng = np.random.default_rng(17)
-    arena = BufferArena("test")
     for _ in range(_TRIALS):
         bits = int(rng.integers(2, 9))
         range_ = float(rng.choice([1e-2, 0.5, 1.0, 7.3]))
         spec = ActQuantSpec(bits, "observer", range_)
         x = (rng.standard_normal((7, 11)) * 2.0 * range_).astype(np.float32)
         want = ops.fake_quantize(Tensor(x), range_, spec.levels, 0.0, 1.0).data
-        codes = spec.quantize(x, arena)
+        codes = spec.quantize(x)
         np.testing.assert_array_equal(spec.dequantize(codes), want)
-        arena.release(codes)
 
 
 def test_act_pact_matches_training_quantizer():
@@ -165,7 +156,6 @@ def test_act_pact_matches_training_quantizer():
     from repro.autograd.tensor import Tensor, no_grad
 
     rng = np.random.default_rng(23)
-    arena = BufferArena("test")
     for _ in range(_TRIALS):
         bits = int(rng.integers(2, 9))
         alpha = float(rng.choice([0.1, 1.0, 3.7, 6.0]))
@@ -174,9 +164,8 @@ def test_act_pact_matches_training_quantizer():
         x = (rng.standard_normal((5, 9)) * 2.0 * alpha).astype(np.float32)
         with no_grad():
             want = quantizer(Tensor(x)).data
-        codes = spec.quantize(x, arena)
+        codes = spec.quantize(x)
         np.testing.assert_allclose(spec.dequantize(codes), want, atol=1e-6, rtol=1e-6)
-        arena.release(codes)
 
 
 def test_act_pact_subfloor_alpha_matches_training():
@@ -187,7 +176,6 @@ def test_act_pact_subfloor_alpha_matches_training():
     from repro.autograd.tensor import Tensor, no_grad
 
     rng = np.random.default_rng(31)
-    arena = BufferArena("test")
     for alpha in (1e-6, 5e-6, 9.9e-6):
         quantizer = ActivationQuantizer(bits=4, mode="pact")
         quantizer.impl.alpha.data = np.array([alpha], dtype=np.float32)
@@ -197,9 +185,8 @@ def test_act_pact_subfloor_alpha_matches_training():
         x = (rng.random((257,)) * 3e-5 - 1e-5).astype(np.float32)
         with no_grad():
             want = quantizer(Tensor(x)).data
-        codes = spec.quantize(x, arena)
+        codes = spec.quantize(x)
         np.testing.assert_allclose(spec.dequantize(codes), want, atol=1e-12, rtol=1e-6)
-        arena.release(codes)
 
 
 def test_act_spec_rejects_degenerate_parameters():

@@ -46,7 +46,6 @@ from repro.deploy.testing import frozen_scheme_model
 from repro.models.attention import AttentionBlock, MixerBlock
 from repro.quant.qconv import QConv2d
 from repro.quant.qlinear import QLinear
-from repro.runtime.arena import BufferArena
 
 _TRIALS = 25
 
@@ -184,7 +183,6 @@ def test_grouped_conv_step_matches_eval_graph_randomized():
     group's reduction rows and output channels contiguous blocks.
     """
     rng = np.random.default_rng(2024)
-    arena = BufferArena("test")
     for trial in range(_TRIALS):
         groups = int(rng.choice([1, 2, 3, 4]))
         cin = groups * int(rng.integers(1, 4))
@@ -212,7 +210,6 @@ def test_grouped_conv_step_matches_eval_graph_randomized():
             kernel_size=kernel,
             stride=stride,
             padding=padding,
-            arena=arena,
             groups=groups,
         )
         if groups > 1:
