@@ -119,7 +119,6 @@ def run_suites(
         ops_bench,
         runtime_bench,
         serve_bench,
-        telemetry_bench,
         train_bench,
     )
 

@@ -20,7 +20,6 @@ def main(argv=None) -> int:
         ops_bench,
         runtime_bench,
         serve_bench,
-        telemetry_bench,
         train_bench,
     )
 

@@ -236,15 +236,14 @@ def build_serve_suite(scale: str) -> List[BenchCase]:
     def single_stream_teardown(state):
         state[0].stop()
 
-    def make_concurrent_case(name: str, workers: int, max_batch: int,
-                             act_bits: int = 32) -> BenchCase:
+    def make_concurrent_case(name: str, max_batch: int, act_bits: int = 32) -> BenchCase:
         def concurrent_setup():
             from concurrent.futures import ThreadPoolExecutor
 
             from repro.deploy import Server
 
             session, _, images = _frozen_artifact_setup(cfg, act_bits=act_bits)
-            server = Server(session, max_batch=max_batch, max_wait_ms=2.0, workers=workers)
+            server = Server(session, max_batch=max_batch, max_wait_ms=2.0)
             server.start()
             pool = ThreadPoolExecutor(max_workers=cfg["clients"])
             examples = [images[i % len(images)] for i in range(cfg["requests"])]
@@ -265,19 +264,16 @@ def build_serve_suite(scale: str) -> List[BenchCase]:
         return BenchCase(name, concurrent_setup, concurrent_fn,
                          float(cfg["requests"]), "request", teardown=concurrent_teardown)
 
-    # The w1/w4 pair uses small micro-batches plus a real wait window — the
-    # regime where extra workers overlap one worker's batching window with
-    # another's compute.  Identical knobs except the worker count, so the
-    # pair isolates multi-worker scaling (flat on a single-core host).
+    # Small micro-batches plus a real wait window: the batching regime of a
+    # lightly loaded server, next to the full-batch burst above.
     micro_batch = max(2, cfg["batch"] // 8)
     return [
         BenchCase("server_single_stream", single_stream_setup, single_stream_fn,
                   1.0, "request", teardown=single_stream_teardown),
-        make_concurrent_case("server_concurrent_burst", 1, cfg["batch"]),
+        make_concurrent_case("server_concurrent_burst", cfg["batch"]),
         # A-Bits sweep of the burst case: integer-activation sessions behind
         # the same server knobs (the plain burst is the act_bits=32 member).
-        make_concurrent_case("server_concurrent_burst_act4", 1, cfg["batch"], act_bits=4),
-        make_concurrent_case("server_concurrent_burst_act8", 1, cfg["batch"], act_bits=8),
-        make_concurrent_case("server_microbatch_w1", 1, micro_batch),
-        make_concurrent_case("server_microbatch_w4", 4, micro_batch),
+        make_concurrent_case("server_concurrent_burst_act4", cfg["batch"], act_bits=4),
+        make_concurrent_case("server_concurrent_burst_act8", cfg["batch"], act_bits=8),
+        make_concurrent_case("server_microbatch_w1", micro_batch),
     ]

@@ -317,7 +317,6 @@ def run_chaos_phase(
         max_batch=args.max_batch,
         max_wait_ms=args.max_wait_ms,
         cache_size=0,  # response caching would mask fault/admission behavior
-        workers=args.workers,
         queue_limit=_CHAOS_QUEUE_LIMIT,
         default_deadline_ms=_CHAOS_DEADLINE_MS,
         faults=plan,
@@ -372,7 +371,7 @@ def render_report(
         f"packed {artifact_info['bytes'] / 1024:.1f} KiB, "
         f"gemm kernels {'/'.join(sorted(set(kernels.values())))}",
         f"- server: max_batch {args.max_batch}, max_wait_ms {args.max_wait_ms}, "
-        f"cache_size {args.cache_size}, workers {args.workers}",
+        f"cache_size {args.cache_size}",
         f"- open loop: Poisson arrivals, {args.duration:.1f}s per phase, "
         f"request sizes {'/'.join(str(s) for s in args.sizes)}, seed {args.seed}",
         "",
@@ -632,7 +631,6 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
     parser.add_argument("--max-batch", type=int, default=8)
     parser.add_argument("--max-wait-ms", type=float, default=2.0)
     parser.add_argument("--cache-size", type=int, default=64)
-    parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--warm-pool", type=int, default=8,
                         help="distinct examples cycled during warm phases")
     parser.add_argument("--soak", type=float, default=0.0,
@@ -697,7 +695,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "max_batch": args.max_batch,
             "max_wait_ms": args.max_wait_ms,
             "cache_size": args.cache_size,
-            "workers": args.workers,
             "warm_pool": args.warm_pool,
             "soak_s": args.soak,
             "seed": args.seed,
@@ -721,7 +718,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         max_batch=args.max_batch,
         max_wait_ms=args.max_wait_ms,
         cache_size=args.cache_size,
-        workers=args.workers,
     )
     try:
         with server:

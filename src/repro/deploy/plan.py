@@ -97,8 +97,8 @@ class ActQuantSpec:
         """Integer activation codes of ``x`` as a new float32 array.
 
         The buffer matches ``x``'s memory layout (``empty_like``), not just
-        its shape: conv steps hand over transposed views of their output
-        stores, and a layout-matched destination lets every ufunc pass
+        its shape: conv steps hand over transposed views of their GEMM
+        output, and a layout-matched destination lets every ufunc pass
         iterate in memory order — quantizing into a C-contiguous buffer from
         such a view costs ~40% more on the strided traversal alone.
         """
@@ -159,17 +159,14 @@ class FloatGemmKernel(GemmKernel):
     bitwise identical to the float32 eval graph by construction.
     """
 
-    def __init__(self, w_mat: np.ndarray, tag: str = "f32") -> None:
+    def __init__(self, w_mat: np.ndarray, tag: str = "f32", linear: bool = False) -> None:
         self.w_mat = w_mat
         self.tag = tag
-        self._w_t: Optional[np.ndarray] = None
-
-    @property
-    def w_t(self) -> np.ndarray:
-        """Pre-transposed operand for linear steps (built on first use)."""
-        if self._w_t is None:
-            self._w_t = np.ascontiguousarray(self.w_mat.T)
-        return self._w_t
+        #: Pre-transposed operand of linear steps, built once at compile time.
+        self.w_t: Optional[np.ndarray] = None
+        if linear:
+            self.w_t = np.ascontiguousarray(w_mat.T)
+            self.w_t.flags.writeable = False
 
     def conv(self, cols: np.ndarray, out: np.ndarray) -> None:
         parallel_gemm(self.w_mat, cols, out=out)
@@ -221,7 +218,10 @@ class GroupedGemmKernel(GemmKernel):
 
 
 def _record_kernel(
-    record: QuantizedTensorRecord, w_mat: np.ndarray, act_quant: Optional[ActQuantSpec]
+    record: QuantizedTensorRecord,
+    w_mat: np.ndarray,
+    act_quant: Optional[ActQuantSpec],
+    linear: bool,
 ) -> FloatGemmKernel:
     """The GEMM kernel of one artifact record, tagged with its certified semantics."""
     q = record.q
@@ -231,7 +231,7 @@ def _record_kernel(
         w_hi=int(q.max()) if q.size else 0,
         a_bits=act_quant.bits if act_quant is not None else None,
     )
-    return FloatGemmKernel(w_mat, tag)
+    return FloatGemmKernel(w_mat, tag, linear=linear)
 
 
 # ---------------------------------------------------------------------------
@@ -264,13 +264,11 @@ class ConvStep(Step):
     ``r / levels`` rides in ``mult`` alongside the weight dequantization —
     the caller folds it in when constructing the step.
 
-    The code buffer and the im2col column matrix are scratch freed within
-    the call; the GEMM output lives in a grow-only store owned by the step
-    (its lifetime crosses the step boundary — the next step reads it).
-    Consequence: a step's output is only valid until its next call — plans
-    are therefore not re-entrant, and
-    :class:`~repro.deploy.session.InferenceSession.run` copies the final
-    logits out.  The GEMM is sharded across the runtime thread pool when
+    Every array a call writes — the activation codes, the im2col column
+    matrix and the GEMM output — is allocated by that call, and the step's
+    own operands are read-only, so a step (and a plan of them) is a pure
+    function of its input and safe to call from several threads at once.
+    The GEMM is sharded across the runtime thread pool when
     ``REPRO_NUM_THREADS`` allows.
     """
 
@@ -306,12 +304,6 @@ class ConvStep(Step):
         self.padding = padding
         self.relu = relu
         self.act_quant = act_quant
-        # Flat backing store sliced per call: a prefix slice of a flat
-        # buffer reshapes to a contiguous (rows, columns) matrix, so varying
-        # batch sizes (the Server coalesces 1..max_batch requests per
-        # forward) reuse one grow-only allocation instead of re-allocating
-        # per geometry.
-        self._out_store = np.empty(0, dtype=np.float32)
 
     def fold_bn(self, gamma_invstd: np.ndarray, shift: np.ndarray) -> None:
         """Fold a following BatchNorm into this step's output affine."""
@@ -325,10 +317,7 @@ class ConvStep(Step):
         k, stride = self.kernel_size, self.stride
         out_h = (height + 2 * self.padding - k) // stride + 1
         out_w = (width + 2 * self.padding - k) // stride + 1
-        columns = batch * out_h * out_w
-        if self._out_store.size < self.out_channels * columns:
-            self._out_store = np.empty(self.out_channels * columns, dtype=np.float32)
-        out = self._out_store[: self.out_channels * columns].reshape(self.out_channels, columns)
+        out = np.empty((self.out_channels, batch * out_h * out_w), dtype=np.float32)
         if self.act_quant is not None:
             x = self.act_quant.quantize(x)
         self.kernel.conv(im2col(x, k, k, stride, self.padding), out)
@@ -371,7 +360,7 @@ class LinearStep(Step):
     ) -> None:
         self.name = name
         if kernel is None:
-            kernel = FloatGemmKernel(np.ascontiguousarray(w_mat, dtype=np.float32))
+            kernel = FloatGemmKernel(np.ascontiguousarray(w_mat, dtype=np.float32), linear=True)
         self.kernel = kernel
         #: Per-feature (or scalar) output multiplier; ``None`` skips the pass.
         self.mult: Optional[np.ndarray] = None if dequant == 1.0 else np.float32(dequant)
@@ -651,22 +640,17 @@ class PlanBuilder:
         self.steps: List[Step] = []
 
     # -- leaf emitters --------------------------------------------------
-    def _conv_record(self, module: Module, name: str, groups: int = 1):
+    def _conv_record(self, module: Module, name: str, groups: int = 1, linear: bool = False):
         record = self.weights.get(id(module))
         act_quant = None
         if record is not None and record.dequant_kind != "symmetric":
             # Affine (DoReFa) and palette (LQ-Nets) dequantization cannot
             # fold into the per-channel output multiplier — an offset or a
             # level table is not expressible as ``out * mult`` — so these
-            # schemes run float GEMM on the dequantized weights.  Memoized
-            # on the record like the code matrix below.
-            w_mat = getattr(record, "_w_deq_f32", None)
-            if w_mat is None:
-                w_mat = np.ascontiguousarray(
-                    record.dequantized_weight.reshape(record.q.shape[0], -1)
-                )
-                w_mat.flags.writeable = False
-                record._w_deq_f32 = w_mat
+            # schemes run float GEMM on the dequantized weights.
+            w_mat = np.ascontiguousarray(
+                record.dequantized_weight.reshape(record.q.shape[0], -1)
+            )
             dequant = 1.0
             bias = record.bias
             if not self.float_activations:
@@ -676,19 +660,10 @@ class PlanBuilder:
                 # dequantization remains to fold into the output multiplier.
                 dequant = act_quant.scale
             kernel = GroupedGemmKernel(w_mat, groups) if groups > 1 else None
-            return w_mat, dequant, bias, act_quant, kernel
-        if record is not None:
-            # Memoize the float GEMM matrix on the record: plan steps only
-            # read it, so every session cloned from the same artifact (one
-            # per server worker) shares one copy instead of re-materializing
-            # the dequantized weights per worker.
-            w_mat = getattr(record, "_w_mat_f32", None)
-            if w_mat is None:
-                w_mat = np.ascontiguousarray(
-                    record.q.astype(np.float32).reshape(record.q.shape[0], -1)
-                )
-                w_mat.flags.writeable = False
-                record._w_mat_f32 = w_mat
+        elif record is not None:
+            w_mat = np.ascontiguousarray(
+                record.q.astype(np.float32).reshape(record.q.shape[0], -1)
+            )
             dequant = record.dequant_factor
             bias = record.bias
             if not self.float_activations:
@@ -702,13 +677,15 @@ class PlanBuilder:
                 # selection policy only covers full-matrix kernels.
                 kernel = GroupedGemmKernel(w_mat, groups)
             else:
-                kernel = _record_kernel(record, w_mat, act_quant)
+                kernel = _record_kernel(record, w_mat, act_quant, linear)
         else:
             weight = module.weight.data
             w_mat = weight.reshape(weight.shape[0], -1).astype(np.float32)
             dequant = 1.0
             bias = None if module.bias is None else module.bias.data
             kernel = GroupedGemmKernel(w_mat, groups) if groups > 1 else None
+        # Plan operands are only ever read: steps may run concurrently.
+        w_mat.flags.writeable = False
         return w_mat, dequant, bias, act_quant, kernel
 
     def conv(self, module: Module, name: str) -> None:
@@ -742,7 +719,7 @@ class PlanBuilder:
         # A quantized record's bias is authoritative — like the conv path,
         # never fall back to the skeleton module's (randomly initialized)
         # bias when the record says the layer has none.
-        w_mat, dequant, bias, act_quant, kernel = self._conv_record(module, name)
+        w_mat, dequant, bias, act_quant, kernel = self._conv_record(module, name, linear=True)
         return LinearStep(
             name, w_mat, dequant, bias, relu=relu, act_quant=act_quant, kernel=kernel,
         )

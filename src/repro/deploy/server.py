@@ -1,21 +1,15 @@
-"""Batched serving engine over one or more :class:`InferenceSession` workers.
+"""Batched serving engine over one :class:`InferenceSession`.
 
 A :class:`Server` accepts single-example requests from any number of client
-threads and executes them on worker threads with **dynamic micro-batching**:
-a worker drains the request queue, waiting up to ``max_wait_ms`` after the
-first request to coalesce up to ``max_batch`` examples into one forward pass
+threads and executes them on one serving thread with **dynamic
+micro-batching**: the serve loop drains the request queue, waiting up to
+``max_wait_ms`` after the first request to coalesce up to ``max_batch``
+examples into one forward pass
 — the classic latency/throughput trade the GEMM-heavy runtime rewards, since
 a batch-32 forward costs far less than 32 batch-1 forwards.  Batches are
 keyed by input shape: one collection may hold several shapes, each runs as
 its own stacked forward pass, and collection ends as soon as any one shape
 fills ``max_batch``, so mixed-shape traffic still coalesces per shape.
-
-With ``workers > 1`` the server runs that loop on several threads, each
-owning an independent session (via :meth:`InferenceSession.clone`), all
-competing over one shared request queue.  Sessions release the GIL inside
-their GEMMs, so on multi-core hosts worker batches execute genuinely in
-parallel, and even on one core a worker's batching wait window overlaps
-another worker's compute instead of stalling the whole server.
 
 An optional LRU response cache short-circuits byte-identical requests, and
 the server keeps running statistics in **fixed memory**: request latency,
@@ -41,21 +35,22 @@ Failure behavior is typed, bounded, and deterministic:
   rejected at the door, never dropped mid-batch: an admitted request is
   always resolved (result, or a typed error).
 * **Deadlines** — ``default_deadline_ms=`` (or per-call
-  ``submit(x, deadline_ms=...)``) bounds queue residency.  Workers check
-  deadlines at dequeue, so an expired request fails fast with
+  ``submit(x, deadline_ms=...)``) bounds queue residency.  The serve loop
+  checks deadlines at dequeue, so an expired request fails fast with
   :class:`DeadlineExceeded` instead of consuming GEMM time; ``predict``'s
   client timeout doubles as the server-side deadline, closing the
   orphaned-work leak where a timed-out client left its request queued and
   still executed.
-* **Crash-safe workers** — a supervisor thread detects a dead serve loop,
-  restarts it on a fresh ``session.clone()``, and requeues every request the
-  crash orphaned.  A request whose presence kills two consecutive
+* **Crash-safe serving** — a supervisor thread detects a dead serve loop,
+  restarts it on the same session (a compiled plan keeps no state between
+  calls, so a crash cannot leave it half-written), and requeues every
+  request the crash orphaned.  A request whose presence kills two consecutive
   executions is **quarantined**: its future fails with
   :class:`RequestQuarantined` and byte-identical payloads are rejected at
   admission from then on.  Batch failures never take hostages — the batch
   is retried one request at a time so exactly the poison input fails.
 * **Graceful drain** — :meth:`drain` closes admissions, flushes every
-  queued request through the workers, then joins them; :meth:`stop`
+  queued request through the serve loop, then joins it; :meth:`stop`
   remains the fast path that fails still-queued requests with
   :class:`ServerStopped`.
 * **Deterministic fault injection** — a seeded
@@ -76,7 +71,7 @@ import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import Future, InvalidStateError
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from queue import Empty, Queue
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -93,7 +88,7 @@ from repro.obs.metrics import Histogram
 _MAX_ATTEMPTS = 2
 #: Bounded LRU of quarantined payload fingerprints (sha1 digests).
 _QUARANTINE_CAPACITY = 256
-#: How often the supervisor polls worker liveness.
+#: How often the supervisor polls serve-loop liveness.
 _SUPERVISE_INTERVAL_S = 0.02
 
 
@@ -124,7 +119,7 @@ class _Request:
     enqueued_at: float
     cache_key: Optional[bytes]
     req_id: int = 0
-    #: Stamped by the worker that pops the request off the queue; the
+    #: Stamped when the serve loop pops the request off the queue; the
     #: queue-wait/service-time split in the stats pivots on this instant.
     dequeued_at: float = 0.0
     #: Absolute perf_counter deadline; 0.0 means none.  Checked at dequeue.
@@ -136,20 +131,6 @@ class _Request:
     fault_id: int = -1
 
 
-@dataclass
-class _WorkerSlot:
-    """One serving thread and the state its supervisor needs to revive it."""
-
-    index: int
-    session: InferenceSession
-    thread: Optional[threading.Thread] = None
-    generation: int = 0
-    #: Requests popped off the queue but not yet resolved: what a crash
-    #: orphans, and what :meth:`Server._salvage_crash` requeues.
-    inflight: List[_Request] = field(default_factory=list)
-    crash_error: Optional[BaseException] = None
-
-
 class ServerStats:
     """Thread-safe rolling statistics of a running server.
 
@@ -157,12 +138,12 @@ class ServerStats:
     memory is fixed regardless of how many requests pass through, and
     snapshots read quantiles from bucket counts instead of sorting a
     sample history.  Queue wait is ``dequeued_at - enqueued_at`` (time
-    spent waiting for a worker); service time is everything after the
-    pop, including the batch-assembly wait the worker spends coalescing.
+    spent waiting for the serve loop); service time is everything after
+    the pop, including the batch-assembly wait spent coalescing.
 
     Resilience events are plain counters: ``rejected`` (admission sheds —
     queue overflow or quarantined payload), ``expired`` (deadlines hit at
-    dequeue), ``restarts`` (supervisor worker revivals), ``retries``
+    dequeue), ``restarts`` (supervisor serve-loop revivals), ``retries``
     (solo re-executions after a batch failure or crash), ``quarantined``
     (requests that exhausted their attempts).
     """
@@ -226,7 +207,7 @@ class ServerStats:
             self.expired += 1
 
     def record_restart(self) -> None:
-        """Count one supervisor-driven worker restart."""
+        """Count one supervisor-driven serve-loop restart."""
         with self._lock:
             self.restarts += 1
 
@@ -316,7 +297,7 @@ class Server:
         shapes, each served as its own pass of at most ``max_batch`` rows,
         and the window closes early once any shape reaches ``max_batch``.
     max_wait_ms:
-        How long a worker waits after the first queued request for more
+        How long the serve loop waits after the first queued request for more
         requests to coalesce.  0 disables batching delay (latency-optimal);
         a couple of milliseconds already fills batches under load.
     cache_size:
@@ -324,10 +305,10 @@ class Server:
         caching.  Keys are the exact request bytes, so only byte-identical
         inputs hit.
     workers:
-        Number of serving threads.  Each extra worker executes on its own
-        session obtained from ``session.clone()`` (sessions are not
-        re-entrant), so the given session must support ``clone()`` when
-        ``workers > 1``.
+        Must be 1.  Multi-worker serving was removed: on the benchmark host
+        ``workers=2`` served fewer requests per second than one loop in
+        every measured pair (PERFORMANCE.md); any other value raises
+        :class:`ValueError`.
     queue_limit:
         Admission bound: with ``N`` requests already pending, further
         submits raise :class:`ServerOverloaded` instead of growing the
@@ -353,6 +334,7 @@ class Server:
         max_batch: int = 32,
         max_wait_ms: float = 2.0,
         cache_size: int = 0,
+        # Only kept because perfbench/workloads.py still passes workers=1.
         workers: int = 1,
         queue_limit: Optional[int] = None,
         default_deadline_ms: Optional[float] = None,
@@ -362,12 +344,11 @@ class Server:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         if max_wait_ms < 0:
             raise ValueError(f"max_wait_ms must be >= 0, got {max_wait_ms}")
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        if workers > 1 and not callable(getattr(session, "clone", None)):
+        if workers != 1:
             raise ValueError(
-                "workers > 1 needs one session per worker: the given session "
-                "does not provide clone()"
+                f"workers must be 1, got {workers}: multi-worker serving was "
+                f"removed because extra workers measured slower than one serve "
+                f"loop (see PERFORMANCE.md)"
             )
         if queue_limit is not None and queue_limit < 1:
             raise ValueError(f"queue_limit must be >= 1, got {queue_limit}")
@@ -378,7 +359,6 @@ class Server:
         self.session = session
         self.max_batch = max_batch
         self.max_wait_s = max_wait_ms / 1e3
-        self.workers = workers
         self.queue_limit = queue_limit
         self.default_deadline_ms = default_deadline_ms
         self.stats = ServerStats()
@@ -391,8 +371,12 @@ class Server:
         # submit that passed the admission checks cannot enqueue after stop()
         # has drained, and qsize-vs-limit is checked atomically with the put.
         self._lifecycle_lock = threading.Lock()
-        self._slots: List[_WorkerSlot] = []
-        self._sessions: List[InferenceSession] = [session]
+        self._thread: Optional[threading.Thread] = None
+        self._generation = 0
+        #: Requests popped off the queue but not yet resolved: what a crash
+        #: orphans, and what :meth:`_salvage_crash` requeues.
+        self._inflight: List[_Request] = []
+        self._crash_error: Optional[BaseException] = None
         self._running = False
         self._accepting = True
         self._telemetry: Optional[obs.Telemetry] = None
@@ -434,25 +418,12 @@ class Server:
             self._faults_config if self._faults_config is not None
             else FaultPlan.from_env()
         )
-        # Sessions are built once and survive stop()/start() cycles.
-        while len(self._sessions) < self.workers:
-            self._sessions.append(self.session.clone())
-        self._slots = [
-            _WorkerSlot(index=index, session=worker_session)
-            for index, worker_session in enumerate(self._sessions)
-        ]
         # Stats cover the current serving session: without the reset, a
         # restarted (or late-started) server reports throughput averaged
         # over time it was not running.
         self.stats.reset()
-        for slot in self._slots:
-            slot.thread = threading.Thread(
-                target=self._worker_main,
-                args=(slot,),
-                name=f"repro-server-{slot.index}",
-                daemon=True,
-            )
-            slot.thread.start()
+        self._generation = 0
+        self._start_loop("repro-server")
         self._supervisor_stop = threading.Event()
         self._supervisor = threading.Thread(
             target=self._supervise, name="repro-server-supervisor", daemon=True
@@ -465,19 +436,17 @@ class Server:
             if not self._running:
                 return
             self._running = False
-            for _ in self._slots:
-                self._queue.put(self._SHUTDOWN)
+            self._queue.put(self._SHUTDOWN)
         if self._supervisor_stop is not None:
             self._supervisor_stop.set()
         if self._supervisor is not None:
             self._supervisor.join(timeout=timeout)
             self._supervisor = None
-        for slot in self._slots:
-            if slot.thread is not None:
-                slot.thread.join(timeout=timeout)
-                slot.thread = None
-        # Fail any request the workers never reached (queued behind the
-        # shutdown sentinels, or submitted in the stop race window) instead
+        if self._thread is not None:
+            self._thread.join(timeout=timeout)
+            self._thread = None
+        # Fail any request the serve loop never reached (queued behind the
+        # shutdown sentinel, or submitted in the stop race window) instead
         # of leaving its future pending forever.
         while True:
             try:
@@ -499,7 +468,7 @@ class Server:
 
         New submits fail with :class:`ServerStopped` immediately; every
         already-admitted request is served (or resolved with its typed
-        error) before the workers are joined.  Returns ``True`` on a
+        error) before the serve loop is joined.  Returns ``True`` on a
         complete drain.  With ``timeout`` seconds elapsed first it returns
         ``False`` — admissions stay closed and in-flight work keeps
         running, so the caller can retry the drain or force :meth:`stop`.
@@ -649,19 +618,23 @@ class Server:
             self._cache.clear()
 
     # ------------------------------------------------------------------
-    # Workers
+    # Serve loop
     # ------------------------------------------------------------------
-    def _worker_main(self, slot: _WorkerSlot) -> None:
-        try:
-            self._serve_loop(slot)
-        except BaseException as error:
-            # A crashed worker must never hang its waiters: requeue or fail
-            # everything it had popped, then die and let the supervisor
-            # restart a replacement on a fresh session.
-            self._salvage_crash(slot, error)
+    def _start_loop(self, name: str) -> None:
+        self._thread = threading.Thread(target=self._loop_main, name=name, daemon=True)
+        self._thread.start()
 
-    def _serve_loop(self, slot: _WorkerSlot) -> None:
-        session = slot.session
+    def _loop_main(self) -> None:
+        try:
+            self._serve_loop()
+        except BaseException as error:
+            # A crashed loop must never hang its waiters: requeue or fail
+            # everything it had popped, then die and let the supervisor
+            # restart it.
+            self._salvage_crash(error)
+
+    def _serve_loop(self) -> None:
+        session = self.session
         faults = self._faults
         while True:
             try:
@@ -677,7 +650,7 @@ class Server:
                 self._task_done()
                 continue
             first.dequeued_at = time.perf_counter()
-            slot.inflight.append(first)
+            self._inflight.append(first)
             collected: List[_Request] = [first]
             # Requests only stack with their own input shape, so fill is
             # counted per shape: collection ends when any shape has a full
@@ -693,8 +666,7 @@ class Server:
                 except Empty:
                     break
                 if item is self._SHUTDOWN:
-                    # Keep the sentinel count balanced for the other workers:
-                    # finish this collection, then exit.
+                    # Finish this collection, then exit.
                     self._task_done()
                     drained_sentinel = True
                     break
@@ -702,7 +674,7 @@ class Server:
                     self._task_done()
                     continue
                 item.dequeued_at = time.perf_counter()
-                slot.inflight.append(item)
+                self._inflight.append(item)
                 collected.append(item)
                 fill[item.x.shape] = fill.get(item.x.shape, 0) + 1
                 fullest = max(fullest, fill[item.x.shape])
@@ -713,16 +685,16 @@ class Server:
                             f"injected worker crash at request {request.fault_id}"
                         )
             self._execute(collected, session)
-            slot.inflight.clear()
+            self._inflight.clear()
             for _ in collected:
                 self._task_done()
             if drained_sentinel:
                 return
 
-    def _salvage_crash(self, slot: _WorkerSlot, error: BaseException) -> None:
-        slot.crash_error = error
-        pending = list(slot.inflight)
-        slot.inflight.clear()
+    def _salvage_crash(self, error: BaseException) -> None:
+        self._crash_error = error
+        pending = list(self._inflight)
+        self._inflight.clear()
         for request in pending:
             request.attempts += 1
             if request.attempts >= _MAX_ATTEMPTS:
@@ -747,37 +719,23 @@ class Server:
         stop_event = self._supervisor_stop
         assert stop_event is not None
         while not stop_event.wait(_SUPERVISE_INTERVAL_S):
-            for slot in self._slots:
-                thread = slot.thread
-                if thread is None or thread.is_alive():
-                    continue
-                if not self._running:
-                    return
-                # A serve loop only returns when the server is stopping, so
-                # a dead thread on a running server means it crashed.
-                self._restart_worker(slot, thread)
-
-    def _restart_worker(self, slot: _WorkerSlot, dead_thread: threading.Thread) -> None:
-        with self._lifecycle_lock:
-            if not self._running or slot.thread is not dead_thread:
+            thread = self._thread
+            if thread is None or thread.is_alive():
+                continue
+            if not self._running:
                 return
-            error = slot.crash_error
-            slot.crash_error = None
-            # The crashed session's reused buffers may hold a half-written
-            # batch; restart on a fresh clone (kept for later start() cycles
-            # too).  A duck-typed session without clone() is reused as-is.
-            clone = getattr(self.session, "clone", None)
-            if callable(clone):
-                slot.session = clone()
-                self._sessions[slot.index] = slot.session
-            slot.generation += 1
-            slot.thread = threading.Thread(
-                target=self._worker_main,
-                args=(slot,),
-                name=f"repro-server-{slot.index}g{slot.generation}",
-                daemon=True,
-            )
-            slot.thread.start()
+            # The serve loop only returns when the server is stopping, so a
+            # dead thread on a running server means it crashed.
+            self._restart_loop(thread)
+
+    def _restart_loop(self, dead_thread: threading.Thread) -> None:
+        with self._lifecycle_lock:
+            if not self._running or self._thread is not dead_thread:
+                return
+            error = self._crash_error
+            self._crash_error = None
+            self._generation += 1
+            self._start_loop(f"repro-server-g{self._generation}")
         self.stats.record_restart()
         counters = self._counters
         if counters is not None:
@@ -786,8 +744,7 @@ class Server:
         if telemetry is not None and telemetry.sink is not None:
             telemetry.emit({
                 "type": "worker_restart",
-                "worker": slot.index,
-                "generation": slot.generation,
+                "generation": self._generation,
                 "error": repr(error) if error is not None else None,
             })
 
@@ -835,7 +792,7 @@ class Server:
             stacked = np.stack([request.x for request in batch])
             if telemetry is not None:
                 # The batch span parents any plan.step spans a profiling
-                # session records from this worker thread.
+                # session records from the serve-loop thread.
                 with telemetry.tracer.span("server.batch", size=len(batch)):
                     logits = session.run(stacked)
             else:

@@ -17,6 +17,7 @@ frozen CSQ model the artifact was validated as — no opt-in needed.
 
 from __future__ import annotations
 
+import threading
 import time
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
@@ -56,11 +57,11 @@ class InferenceSession:
         trace spans when telemetry is on.  Off by default; the unprofiled
         ``run`` path is unchanged.
 
-    ``run`` is **not re-entrant**: conv steps reuse GEMM output buffers
-    across calls, so a session must not execute two batches concurrently.
-    The :class:`~repro.deploy.server.Server` serializes each worker's
-    requests through its own session — pass ``workers=N`` there (it calls
-    :meth:`clone` per extra worker) for thread-parallel serving.
+    ``run`` is safe to call from several threads at once: the compiled
+    plan is a pure function of its input (every step allocates what it
+    writes and only reads its operands), and :attr:`stats` counts every
+    call exactly.  With the profiler on, :attr:`last_profile` holds the
+    profile of whichever call finished last.
     """
 
     def __init__(
@@ -72,7 +73,6 @@ class InferenceSession:
         if not isinstance(artifact, Artifact):
             artifact = load_artifact(artifact)
         self.artifact = artifact
-        self._float_activations = float_activations
         # Ranged layers serve on their integer activation grid; rangeless
         # act_bits < 32 layers (version-1 manifests) cannot.
         rangeless = sorted(
@@ -104,30 +104,13 @@ class InferenceSession:
         )
         self._calls = 0
         self._examples = 0
-        # Best-effort re-entrance tripwire (run() reuses GEMM buffers, so
-        # two concurrent batches on one session corrupt each other): a plain
-        # flag, cheap enough for the hot path, catching the common misuse of
-        # sharing one session across threads instead of clone()-per-worker.
-        self._in_flight = False
+        self._stats_lock = threading.Lock()
         #: Opt-in per-step profiler (see :meth:`set_profiling`): when on,
         #: ``run`` times every plan step and keeps the result in
         #: :attr:`last_profile`; with telemetry enabled it additionally
         #: records one ``plan.step`` trace span per step.
         self.profile_enabled = bool(profile)
         self.last_profile: Optional[List[Dict[str, object]]] = None
-
-    def clone(self) -> "InferenceSession":
-        """An independent session over the same (already unpacked) artifact.
-
-        Clones share the artifact's weight records but own their plan and
-        buffers, so they can run batches concurrently with the
-        original — the unit of parallelism for multi-worker serving.
-        """
-        return InferenceSession(
-            self.artifact,
-            float_activations=self._float_activations,
-            profile=self.profile_enabled,
-        )
 
     def set_profiling(self, enabled: bool = True) -> None:
         """Toggle the per-step profiler.
@@ -208,30 +191,14 @@ class InferenceSession:
         """Run the plan over a batch; returns the logits as float32."""
         out = np.ascontiguousarray(x, dtype=np.float32)
         batch = out.shape[0]
-        if self._in_flight:
-            raise RuntimeError(
-                "InferenceSession.run is not re-entrant: this session is "
-                "already executing a batch (its plan steps reuse GEMM "
-                "buffers).  Use clone() to get an independent session per "
-                "thread — Server(workers=N) does this for you."
-            )
-        self._in_flight = True
-        try:
-            if self.profile_enabled:
-                out = self._run_steps_profiled(out, batch)
-            else:
-                for step in self.plan:
-                    out = step(out)
-        finally:
-            self._in_flight = False
-        self._calls += 1
-        self._examples += batch
-        # The caller must own the result: a plan ending in a ConvStep hands
-        # back a view of that step's reused buffer (which the next run()
-        # overwrites), and such a view can be contiguous — copy whenever the
-        # final array does not own its data.
-        if out.base is not None or not out.flags["OWNDATA"]:
-            out = out.copy()
+        if self.profile_enabled:
+            out = self._run_steps_profiled(out, batch)
+        else:
+            for step in self.plan:
+                out = step(out)
+        with self._stats_lock:
+            self._calls += 1
+            self._examples += batch
         return np.ascontiguousarray(out)
 
     def _run_steps_profiled(self, out: np.ndarray, batch: int) -> np.ndarray:

@@ -6,7 +6,7 @@ holding ``events.ndjson`` — one JSON object per line, append-only — and a
 provenance block (git SHA, numpy version, knob settings, cpu_count; see
 :mod:`repro.obs.provenance`).  Emission is thread-safe and line-atomic:
 a record is serialized outside the lock and written as one ``write`` call,
-so concurrent server workers never interleave partial lines.
+so concurrent writers never interleave partial lines.
 
 The sink is deliberately dumb — no buffering beyond the OS, no rotation —
 because consumers (``scripts/loadgen.py``, the soak report) read whole

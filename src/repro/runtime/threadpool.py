@@ -89,6 +89,9 @@ class ThreadPool:
             if task is None:
                 return
             task()
+            # Drop the finished task before blocking on the next one: its
+            # closure holds the caller's scratch (e.g. im2col columns).
+            del task
 
     def run_all(self, tasks: Sequence[Callable[[], object]]) -> List[object]:
         """Run ``tasks`` across the pool plus the calling thread.

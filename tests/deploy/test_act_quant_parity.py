@@ -119,7 +119,7 @@ def test_float_override_diverges_from_frozen_grid(artifact_path, rng):
 
 
 def test_server_serves_integer_activation_artifact(artifact_path, rng):
-    """Workers clone integer-activation sessions; served rows match session.run."""
+    """A served integer-activation session matches its own ``run``."""
     from repro.deploy import Server
 
     shape = (6, 3, 12, 12)
@@ -129,6 +129,6 @@ def test_server_serves_integer_activation_artifact(artifact_path, rng):
     )
     x = rng.standard_normal(shape).astype(np.float32)
     want = session.run(x)
-    with Server(session, max_batch=4, max_wait_ms=1.0, workers=2) as server:
+    with Server(session, max_batch=4, max_wait_ms=1.0) as server:
         served = np.stack(server.predict_many(list(x)))
     np.testing.assert_allclose(served, want, atol=1e-6, rtol=1e-6)

@@ -105,15 +105,6 @@ def test_float_activation_plan_keeps_float_kernels(artifact_path):
     assert "+int" not in session.summary()
 
 
-def test_clones_share_kernel_operands(act4_artifact):
-    session = InferenceSession(act4_artifact)
-    clone = session.clone()
-    first = {name: step for name, step in _gemm_steps(session.plan)}
-    for name, step in _gemm_steps(clone.plan):
-        assert step is not first[name], name
-        assert step.kernel.w_mat is first[name].kernel.w_mat, name
-
-
 def _gemm_steps(steps):
     for step in steps:
         if hasattr(step, "kernel"):

@@ -210,7 +210,7 @@ def test_quarantined_payload_rejected_at_admission(session, rng):
 
 
 # ----------------------------------------------------------------------
-# Crash-safe workers
+# Crash-safe serve loop
 # ----------------------------------------------------------------------
 def test_worker_crash_restart_is_bitwise_transparent(session, rng):
     examples = _examples(rng, 6)
@@ -221,9 +221,14 @@ def test_worker_crash_restart_is_bitwise_transparent(session, rng):
         for x, ref in zip(examples, refs):
             got = server.predict(x, timeout=10.0)
             # Recovery must be invisible in the numbers: the restarted
-            # worker's clone serves bit-identical results.
+            # loop serves bit-identical results.
             assert got.tobytes() == ref.tobytes()
         stats = server.stats.snapshot()
+    # The restarted loop kept serving on the original session object: six
+    # reference calls plus six served batches (the crash fired before its
+    # collection ran).
+    assert server.session is session
+    assert session.stats["calls"] == 12
     assert stats["restarts"] == 1
     assert stats["retries"] == 1  # the crash victim was requeued and served
     assert stats["served"] == 6

@@ -160,6 +160,48 @@ def test_constructor_validation(session):
         Server(session, max_wait_ms=-1.0)
 
 
+def test_constructor_accepts_only_one_worker(session):
+    Server(session, workers=1)
+    for workers in (0, 2):
+        with pytest.raises(ValueError, match="multi-worker serving was removed"):
+            Server(session, workers=workers)
+
+
+def test_serve_loop_survives_stop_start_cycles(session, rng):
+    example = _examples(rng, 1)[0]
+    want = session.run(example[None])[0]
+    server = Server(session, max_batch=4, max_wait_ms=0.0)
+    for _ in range(3):
+        server.start()
+        assert server.predict(example).tobytes() == want.tobytes()
+        server.stop()
+    with pytest.raises(RuntimeError):
+        server.predict(example)
+
+
+def test_stop_fails_pending_requests(session, rng):
+    server = Server(session, max_batch=4, max_wait_ms=0.0)
+    server.start()
+    server.stop()
+    # Requests sneaked into the queue after shutdown must be failed, not hung.
+    with pytest.raises(RuntimeError):
+        server.predict(_examples(rng, 1)[0])
+
+
+def test_shutdown_leaves_no_serving_threads(session, rng):
+    """Neither the serve loop, its restarted generation nor the supervisor leak."""
+    before = {t.name for t in threading.enumerate()}
+    server = Server(session, faults=FaultPlan(seed=0).crash_at(0)).start()
+    server.predict(_examples(rng, 1)[0], timeout=10.0)
+    assert server.stats.snapshot()["restarts"] == 1
+    server.stop()
+    lingering = {
+        t.name for t in threading.enumerate()
+        if t.name.startswith("repro-server")
+    } - before
+    assert not lingering, f"serving threads leaked: {lingering}"
+
+
 def test_stats_p99_and_queue_service_split(session, rng):
     """Latency carries p99; queue wait and service time are reported apart."""
     with Server(session, max_batch=2, max_wait_ms=0.0) as server:

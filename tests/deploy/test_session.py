@@ -1,5 +1,8 @@
 """InferenceSession round-trip parity with the training-stack eval path."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ from repro.autograd.tensor import Tensor, no_grad
 from repro.csq.convert import materialize_quantized
 from repro.deploy import InferenceSession, load_artifact, save_artifact
 from repro.deploy.plan import PlanError, compile_plan
+from repro.deploy.testing import frozen_scheme_model
 from tests.deploy.conftest import frozen_mixed_model
 
 # (arch, arch_kwargs, input shape) — every model family the registry serves.
@@ -84,6 +88,80 @@ def test_session_counts_work(artifact_path, rng):
     session.run(rng.standard_normal((4, 16)).astype(np.float32))
     session.run(rng.standard_normal((2, 16)).astype(np.float32))
     assert session.stats == {"calls": 2, "examples": 6}
+
+
+# (scheme, arch, arch_kwargs, act_bits): the three plan families of the
+# offline evaluation benchmark — an int8 integer-activation plan, grouped
+# GEMMs, and a palette-dequantized (LQ-Nets) attention plan.
+_CONCURRENT_CASES = [
+    ("csq", "resnet20", {"num_classes": 10, "width_mult": 0.2}, 4),
+    ("csq", "mobilenet_tiny", {"num_classes": 10}, 32),
+    ("lqnets", "tiny_attention", {"num_classes": 10}, 32),
+]
+
+
+@pytest.mark.parametrize("scheme, arch, arch_kwargs, act_bits", _CONCURRENT_CASES,
+                         ids=[case[1] for case in _CONCURRENT_CASES])
+def test_concurrent_runs_match_serial_runs(scheme, arch, arch_kwargs, act_bits,
+                                           artifact_path, rng):
+    """Two threads sharing one session get exactly the serial results."""
+    model = frozen_scheme_model(scheme, arch, act_bits=act_bits,
+                                calibration_shape=(8, 3, 12, 12), **arch_kwargs)
+    save_artifact(model, artifact_path, arch=arch, arch_kwargs=arch_kwargs)
+    artifact = load_artifact(artifact_path)
+    session = InferenceSession(artifact)
+    kernels = set(session.gemm_kernels.values())
+    if act_bits < 32:
+        assert "int8" in kernels and kernels <= {"int8", "int16"}
+    elif arch == "mobilenet_tiny":
+        assert "+g" in session.summary()
+    else:
+        assert session.scheme_id == "lqnets"
+    # Different batch sizes per thread: a buffer shared between calls
+    # would hand one thread's rows to the other.
+    batches = [rng.standard_normal((n, 3, 12, 12)).astype(np.float32) for n in (8, 3)]
+    serial = [InferenceSession(artifact).run(x) for x in batches]
+    barrier = threading.Barrier(len(batches))
+    mismatches = []
+
+    def worker(index):
+        barrier.wait()
+        for _ in range(50):
+            got = session.run(batches[index])
+            if got.tobytes() != serial[index].tobytes():
+                mismatches.append(index)
+
+    _run_threads([lambda i=i: worker(i) for i in range(len(batches))])
+    assert not mismatches
+    assert session.stats == {"calls": 100, "examples": 50 * (8 + 3)}
+
+
+def test_stats_count_every_concurrent_run(artifact_path, rng):
+    """More threads than cores, switching often: no call is lost from ``stats``."""
+    session, _ = _session_and_reference("tiny_mlp", {}, artifact_path, precisions=(3,))
+    x = rng.standard_normal((2, 16)).astype(np.float32)
+
+    def worker():
+        for _ in range(200):
+            session.run(x)
+
+    _run_threads([worker] * 4)
+    assert session.stats == {"calls": 800, "examples": 1600}
+
+
+def _run_threads(targets, timeout=60.0):
+    """Run ``targets`` on concurrent threads with a short switch interval."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=target) for target in targets]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
 
 
 def test_summary_mentions_fused_steps(artifact_path):
@@ -173,16 +251,6 @@ def test_profiler_off_by_default_and_toggleable(artifact_path, rng):
     for entry in profile:
         merged.update(entry["kernels"])
     assert merged == session.gemm_kernels
-
-
-def test_profiler_survives_clone(artifact_path):
-    session, _ = _session_and_reference(
-        "simple_convnet", {"num_classes": 10, "width": 8}, artifact_path
-    )
-    session.set_profiling(True)
-    assert session.clone().profile_enabled
-    session.set_profiling(False)
-    assert not session.clone().profile_enabled
 
 
 def test_profiled_run_matches_unprofiled(artifact_path, rng):

@@ -73,6 +73,7 @@ class TestSteadyState:
         assert _retained_bytes(step) <= _SLACK_BYTES
 
     def test_inference_session_runs_warm(self):
+        """A compiled plan keeps nothing between calls, from its first call on."""
         from repro.deploy import InferenceSession, save_artifact
         from repro.deploy.testing import frozen_mixed_model
 
@@ -82,9 +83,14 @@ class TestSteadyState:
             save_artifact(model, path, arch="simple_convnet",
                           arch_kwargs={"num_classes": 10, "width": 8})
             session = InferenceSession(path)
-        batch = np.random.default_rng(0).standard_normal((4, 3, 10, 10)).astype(np.float32)
+        batch = np.random.default_rng(0).standard_normal((16, 3, 10, 10)).astype(np.float32)
+        first_conv = next(step for step in session.plan if hasattr(step, "kernel"))
+        # One conv output is far above the slack, so any buffer a step kept
+        # from a call would show.
+        assert first_conv.out_channels * batch.shape[0] * 10 * 10 * 4 > 2 * _SLACK_BYTES
         # The returned logits are the caller's; drop them inside the call.
-        assert _retained_bytes(lambda: session.run(batch)) <= _SLACK_BYTES
+        # No warm-up: the baseline is taken before the session's first run.
+        assert _retained_bytes(lambda: session.run(batch), warmup=0) <= _SLACK_BYTES
 
 
 class TestReleasedStateGuards:
