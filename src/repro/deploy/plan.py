@@ -6,10 +6,13 @@ into a flat list of :class:`Step` objects operating on plain ``np.ndarray``
 activations:
 
 * a convolution followed by batch normalization (and optionally ReLU)
-  becomes **one** step: the zero-copy im2col gather, a single GEMM against
-  the integer weight matrix, and a per-output-channel affine that folds the
-  dequantization factor, the BN scale/shift and the conv bias — dequantized
-  exactly once, in the output domain;
+  becomes **one** step: a single GEMM against the integer weight matrix
+  and a per-output-channel affine that folds the dequantization factor, the
+  BN scale/shift and the conv bias — dequantized exactly once, in the output
+  domain.  The GEMM reads shifted slices of one zero-bordered channel-major
+  buffer (a 1x1 conv reads the activation itself, and a depthwise conv is
+  k*k multiply-adds instead of a GEMM), or, for strided dense convs and
+  small batches, an im2col patch gather (see :class:`ConvStep`);
 * a linear layer keeps its integer matrix and applies the per-feature
   output affine (dequantization, folded BN) to the GEMM output;
 * a layer whose artifact record carries a frozen activation range
@@ -34,7 +37,7 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from repro.autograd.ops import im2col
+from repro.autograd.ops import _SMALL_GATHER_ELEMENTS, im2col
 from repro.deploy.artifact import QuantizedTensorRecord
 from repro.nn.module import Module
 from repro.quant.act_quant import RANGE_FLOOR
@@ -93,16 +96,17 @@ class ActQuantSpec:
             return None
         return cls(record.act_bits, record.act_mode, record.act_range)
 
-    def quantize(self, x: np.ndarray) -> np.ndarray:
-        """Integer activation codes of ``x`` as a new float32 array.
+    def quantize(self, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Integer activation codes of ``x`` as float32, in ``out`` when given.
 
-        The buffer matches ``x``'s memory layout (``empty_like``), not just
-        its shape: conv steps hand over transposed views of their GEMM
-        output, and a layout-matched destination lets every ufunc pass
-        iterate in memory order — quantizing into a C-contiguous buffer from
-        such a view costs ~40% more on the strided traversal alone.
+        ``out`` may be ``x`` itself: conv steps quantize their zero-bordered
+        channel-major buffer in place, and a zero maps to code 0 in both
+        modes, so the border stays the padding the conv expects.  Without
+        ``out`` the codes get a new array matching ``x``'s memory layout
+        (``empty_like``) rather than just its shape, so every ufunc pass
+        iterates in memory order even when ``x`` is a transposed view.
         """
-        codes = np.empty_like(x, dtype=np.float32)
+        codes = np.empty_like(x, dtype=np.float32) if out is None else out
         if self.mode == "pact":
             np.clip(x, 0.0, self.range, out=codes)
             codes /= self.divisor
@@ -176,17 +180,21 @@ class FloatGemmKernel(GemmKernel):
 
 
 class GroupedGemmKernel(GemmKernel):
-    """Per-group float GEMMs for grouped/depthwise convolutions.
+    """One stacked GEMM for a grouped convolution.
 
-    ``im2col`` orders its rows with the input channel outermost, so group
-    ``g``'s reduction rows form the contiguous block
+    This runs true grouped convs, and depthwise convs on the im2col path
+    (small batches; larger ones are :class:`ConvStep`'s k*k multiply-adds).
+    Both of ConvStep's gathers order their rows with the input channel
+    outermost, so group ``g``'s reduction rows form the contiguous block
     ``[g*rows_g, (g+1)*rows_g)`` of the column matrix and its output
     channels the contiguous block ``[g*cout_g, (g+1)*cout_g)`` of the
-    output store — a grouped convolution is ``groups`` dense GEMMs into
-    disjoint output row slices, no gather or copy required.  Each group
-    GEMM is the identical BLAS call the float path makes, so the integer
-    certification argument (products and partial sums below ``2**24`` are
-    exact in float32) applies per group unchanged.
+    output — a grouped convolution is one ``np.matmul`` of the
+    ``(groups, cout_g, rows_g)`` weights against the ``(groups, rows_g, P)``
+    view of the columns into the ``(groups, cout_g, P)`` view of the output,
+    no copy required.  NumPy runs each group as the BLAS call a dense GEMM
+    of that shape makes, so the integer certification argument (products
+    and partial sums below ``2**24`` are exact in float32) applies per
+    group unchanged.
     """
 
     def __init__(self, w_mat: np.ndarray, groups: int) -> None:
@@ -197,6 +205,7 @@ class GroupedGemmKernel(GemmKernel):
             )
         self.w_mat = w_mat
         self.groups = groups
+        self._w_groups = w_mat.reshape(groups, w_mat.shape[0] // groups, w_mat.shape[1])
 
     def conv(self, cols: np.ndarray, out: np.ndarray) -> None:
         if cols.shape[0] % self.groups:
@@ -204,14 +213,13 @@ class GroupedGemmKernel(GemmKernel):
                 f"grouped kernel: {cols.shape[0]} reduction rows not divisible "
                 f"by groups={self.groups}"
             )
-        rows_g = cols.shape[0] // self.groups
-        cout_g = self.w_mat.shape[0] // self.groups
-        for g in range(self.groups):
-            parallel_gemm(
-                self.w_mat[g * cout_g:(g + 1) * cout_g],
-                cols[g * rows_g:(g + 1) * rows_g],
-                out=out[g * cout_g:(g + 1) * cout_g],
-            )
+        # Splitting the leading axis of a 2-D array is always a view, so the
+        # matmul writes straight into ``out``.
+        np.matmul(
+            self._w_groups,
+            cols.reshape(self.groups, -1, cols.shape[1]),
+            out=out.reshape(self.groups, -1, out.shape[1]),
+        )
 
     def linear(self, x: np.ndarray) -> np.ndarray:  # pragma: no cover - conv only
         raise PlanError("GroupedGemmKernel only executes convolutions")
@@ -239,6 +247,16 @@ def _record_kernel(
 # ---------------------------------------------------------------------------
 
 
+# ConvStep's shape rule, measured per conv kind at batch 1-64 (PERFORMANCE.md).
+# A stride-1 conv reads a padded buffer once its im2col gather would exceed
+# ``_SMALL_GATHER_ELEMENTS`` entries (below that the float stem conv is
+# faster on im2col).  A depthwise conv, at any stride, does once it would
+# exceed this many: below that its k*k elementwise passes cost more than
+# im2col plus one stacked GEMM.  Strided dense and 1x1 convs measured slower
+# on the buffer's phase split at every batch size, so they keep im2col.
+_DEPTHWISE_TAPS_MIN_ELEMENTS = 3 << 16
+
+
 class Step:
     """One fused operation of the plan: ``ndarray -> ndarray``."""
 
@@ -264,12 +282,42 @@ class ConvStep(Step):
     ``r / levels`` rides in ``mult`` alongside the weight dequantization —
     the caller folds it in when constructing the step.
 
-    Every array a call writes — the activation codes, the im2col column
-    matrix and the GEMM output — is allocated by that call, and the step's
-    own operands are read-only, so a step (and a plan of them) is a pure
-    function of its input and safe to call from several threads at once.
-    The GEMM is sharded across the runtime thread pool when
-    ``REPRO_NUM_THREADS`` allows.
+    The step reads its input one of two ways, chosen by shape alone (never
+    by an option):
+
+    * **padded buffer** (a gather above the shape rule's crossover, in
+      im2col column-matrix entries, for stride-1 and depthwise convs): the
+      input is copied once into a zero-bordered channel-major buffer of
+      ``(N, Hq, Wq)`` grids per channel and, for an ``act_quant`` layer,
+      quantized there in place.  Neighbouring images and rows share their
+      zero border, so ``Hq = H + pad`` and ``Wq = W + pad`` for a
+      ``k = 2*pad + 1`` conv.  Output ``(n, i, j)`` of tap ``(di, dj)``
+      reads flat position ``q + di*Wq + dj`` with ``q = (n*Hq + i)*Wq + j``,
+      so every tap is one contiguous ``(C, N*Hq*Wq)`` block of the flat
+      buffer, and an output is computed at every grid position; the affine
+      then reads the valid ones through a crop view.  (A stride-``s``
+      buffer holds the ``s*s`` phases of the padded image, every ``s``-th
+      row and column, each with its own full border; each tap is then a
+      stride-1 tap of one phase.)  A dense conv stacks
+      the ``k*k`` blocks in im2col's ``(c, di, dj)`` row order for one
+      GEMM; a 1x1 conv's GEMM reads the buffer itself, with no gather; a
+      depthwise conv (``groups == C == Cout``) is ``k*k`` multiply-adds of
+      the blocks, with no GEMM;
+    * **im2col** (strided dense convs, and problems small enough that the
+      buffer's extra passes cost more than the patch copy they save —
+      batch-1 and batch-2 serving): the patch gather, then the kernel's
+      GEMM.
+
+    Both ways feed every kept output the same products, so plans whose
+    arithmetic is exact — integer weight codes against integer activation
+    codes — serve identical bits on either.
+
+    Every array a call writes — the buffer or column matrix and the output
+    — is allocated by that call, and the step's own operands are
+    read-only, so a step (and a plan of them) is a pure function of its
+    input and safe to call from several threads at once.  The dense GEMM is
+    sharded across the runtime thread pool when ``REPRO_NUM_THREADS``
+    allows.
     """
 
     def __init__(
@@ -297,6 +345,10 @@ class ConvStep(Step):
             )
         self.kernel = kernel
         self.out_channels = self.w_mat.shape[0]
+        #: ``groups == C == Cout``: one input and one output channel per group.
+        self.depthwise = (
+            groups == self.out_channels > 1 and self.w_mat.shape[1] == kernel_size ** 2
+        )
         self.mult = mult.astype(np.float32).reshape(-1, 1)
         self.shift = None if shift is None else shift.astype(np.float32).reshape(-1, 1)
         self.kernel_size = kernel_size
@@ -314,19 +366,103 @@ class ConvStep(Step):
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         batch, channels, height, width = x.shape
-        k, stride = self.kernel_size, self.stride
-        out_h = (height + 2 * self.padding - k) // stride + 1
-        out_w = (width + 2 * self.padding - k) // stride + 1
-        out = np.empty((self.out_channels, batch * out_h * out_w), dtype=np.float32)
-        if self.act_quant is not None:
-            x = self.act_quant.quantize(x)
-        self.kernel.conv(im2col(x, k, k, stride, self.padding), out)
-        out *= self.mult
+        k, stride, pad = self.kernel_size, self.stride, self.padding
+        out_h = (height + 2 * pad - k) // stride + 1
+        out_w = (width + 2 * pad - k) // stride + 1
+        crossover = _DEPTHWISE_TAPS_MIN_ELEMENTS if self.depthwise else _SMALL_GATHER_ELEMENTS
+        if (stride == 1 or self.depthwise) and (
+            channels * k * k * batch * out_h * out_w > crossover
+        ):
+            # The affine reads the valid outputs through a crop view and
+            # writes them compactly.
+            grid = self._from_buffer(x)[:, :, :out_h, :out_w]
+            out = np.multiply(grid, self.mult[:, :, None, None]).reshape(self.out_channels, -1)
+        else:
+            if self.act_quant is not None:
+                x = self.act_quant.quantize(x)
+            out = np.empty((self.out_channels, batch * out_h * out_w), dtype=np.float32)
+            self.kernel.conv(im2col(x, k, k, stride, pad), out)
+            out *= self.mult
         if self.shift is not None:
             out += self.shift
         if self.relu:
             np.maximum(out, 0.0, out=out)
         return out.reshape(self.out_channels, batch, out_h, out_w).transpose(1, 0, 2, 3)
+
+    def _from_buffer(self, x: np.ndarray) -> np.ndarray:
+        """The conv read from a padded channel-major buffer.
+
+        Returns ``(Cout, N, grid_h, grid_w)``: an output at every position
+        of the (phase) grid, the valid ones in its top-left corner.
+        """
+        batch, channels, height, width = x.shape
+        k, s, pad = self.kernel_size, self.stride, self.padding
+        if s == 1:
+            # Neighbouring images and rows share their zero border: ``gap``
+            # zero rows (columns) follow every image (row), and ``lead``
+            # zeros hold the first image's top and left border.
+            gap = max(pad, 2 * pad - k + 1)
+            grid_h, grid_w = height + gap, width + gap
+            lead = pad * grid_w + pad
+        else:
+            # Stride s splits the padded image into s*s phases (every s-th
+            # row and column); tap (di, dj) reads phase (di % s, dj % s)
+            # shifted by (di // s, dj // s), a stride-1 tap of that phase.
+            grid_h, grid_w = -(-(height + 2 * pad) // s), -(-(width + 2 * pad) // s)
+            lead = 0
+        size = lead + batch * grid_h * grid_w
+        # The buffer runs ``reach`` zeros past its last phase, so every tap
+        # is a contiguous ``(C, size)`` block of it.  A tap crossing into the
+        # next channel or phase only feeds border positions the crop drops.
+        reach = (k - 1) // s * (grid_w + 1)
+        xt = x.transpose(1, 0, 2, 3)
+        if k == s == 1 and pad == 0 and self.act_quant is None:
+            # No copy when ``x`` is the channel-major output of a conv step.
+            buf = np.ascontiguousarray(xt).reshape(-1)
+        else:
+            buf = np.zeros(s * s * channels * size + reach, dtype=np.float32)
+            phases = buf[:s * s * channels * size].reshape(s, s, channels, size)[..., lead:]
+            phases = phases.reshape(s, s, channels, batch, grid_h, grid_w)
+            if s == 1:
+                phases[0, 0, :, :, :height, :width] = xt
+            else:
+                for a in range(s):
+                    row = (a - pad) % s  # first input row in phase a
+                    for b in range(s):
+                        col = (b - pad) % s
+                        src = xt[:, :, row::s, col::s]
+                        top, left = (row + pad - a) // s, (col + pad - b) // s
+                        phases[a, b, :, :, top:top + src.shape[2], left:left + src.shape[3]] = src
+            if self.act_quant is not None:
+                self.act_quant.quantize(buf, out=buf)
+        block = channels * size
+        taps = [
+            buf[start:start + block].reshape(channels, size)
+            for start in (
+                ((di % s) * s + dj % s) * block + di // s * grid_w + dj // s
+                for di in range(k)
+                for dj in range(k)
+            )
+        ]
+        if self.depthwise:
+            # k*k multiply-adds summed from +0.0, as a BLAS dot product is:
+            # a window of zero codes then gives +0.0, never -0.0.
+            out = np.zeros((channels, size), dtype=np.float32)
+            product = np.empty_like(out)
+            for t, tap in enumerate(taps):
+                np.multiply(tap, self.w_mat[:, t:t + 1], out=product)
+                out += product
+        else:
+            if k == 1:
+                cols = taps[0]
+            else:
+                cols = np.empty((channels, k * k, size), dtype=np.float32)
+                for t, tap in enumerate(taps):
+                    np.copyto(cols[:, t], tap)
+                cols = cols.reshape(channels * k * k, size)
+            out = np.empty((self.out_channels, size), dtype=np.float32)
+            self.kernel.conv(cols, out)
+        return out[:, :batch * grid_h * grid_w].reshape(self.out_channels, batch, grid_h, grid_w)
 
     def describe(self) -> str:
         tail = f"+{self.act_quant.describe()}" if self.act_quant is not None else ""
@@ -478,7 +614,23 @@ class FlattenStep(Step):
         return np.ascontiguousarray(x).reshape(x.shape[0], -1)
 
 
-class ResidualStep(Step):
+def _call(step: Step, x: np.ndarray) -> np.ndarray:
+    return step(x)
+
+
+class CompositeStep(Step):
+    """A step that runs nested sub-steps (a residual block, an attention or
+    mixer block).
+
+    Every sub-step runs through ``call(sub_step, x)``, which is a plain call
+    unless the session's profiler passes one that also times the sub-step.
+    """
+
+    def __call__(self, x: np.ndarray, call=_call) -> np.ndarray:  # pragma: no cover
+        raise NotImplementedError
+
+
+class ResidualStep(CompositeStep):
     """A residual block: main path plus (possibly empty) shortcut path."""
 
     def __init__(self, name: str, main: List[Step], shortcut: List[Step], relu: bool = True) -> None:
@@ -487,13 +639,13 @@ class ResidualStep(Step):
         self.shortcut = shortcut
         self.relu = relu
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
+    def __call__(self, x: np.ndarray, call=_call) -> np.ndarray:
         identity = x
         out = x
         for step in self.main:
-            out = step(out)
+            out = call(step, out)
         for step in self.shortcut:
-            identity = step(identity)
+            identity = call(step, identity)
         out = out + identity
         if self.relu:
             np.maximum(out, 0.0, out=out)
@@ -525,7 +677,7 @@ class MeanTokensStep(Step):
         return x.mean(axis=1)
 
 
-class AttentionStep(Step):
+class AttentionStep(CompositeStep):
     """One transformer block: single-head attention + MLP, residual adds.
 
     Holds six nested :class:`LinearStep` objects (q/k/v/proj and the two MLP
@@ -555,21 +707,21 @@ class AttentionStep(Step):
         #: Nested GEMM steps, walked by :func:`step_kernel_tags`.
         self.inner = [q, k, v, proj, fc1, fc2]
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
+    def __call__(self, x: np.ndarray, call=_call) -> np.ndarray:
         batch, tokens, dim = x.shape
         flat = np.ascontiguousarray(x).reshape(batch * tokens, dim)
-        q = self.q(flat).reshape(batch, tokens, dim)
-        k = self.k(flat).reshape(batch, tokens, dim)
-        v = self.v(flat).reshape(batch, tokens, dim)
+        q = call(self.q, flat).reshape(batch, tokens, dim)
+        k = call(self.k, flat).reshape(batch, tokens, dim)
+        v = call(self.v, flat).reshape(batch, tokens, dim)
         scores = (q @ k.transpose(0, 2, 1)) * self.scale
         shifted = scores - scores.max(axis=-1, keepdims=True)
         exp_scores = np.exp(shifted)
         attn = exp_scores / exp_scores.sum(axis=-1, keepdims=True)
         context = attn @ v
         context_flat = np.ascontiguousarray(context).reshape(batch * tokens, dim)
-        out = x + self.proj(context_flat).reshape(batch, tokens, dim)
+        out = x + call(self.proj, context_flat).reshape(batch, tokens, dim)
         flat = out.reshape(batch * tokens, dim)
-        mlp = self.fc2(self.fc1(flat))
+        mlp = call(self.fc2, call(self.fc1, flat))
         return out + mlp.reshape(batch, tokens, dim)
 
     def describe(self) -> str:
@@ -577,7 +729,7 @@ class AttentionStep(Step):
         return f"attention[{self.name}]({inner})"
 
 
-class TokenMixStep(Step):
+class TokenMixStep(CompositeStep):
     """Mixer token-mixing MLP: transpose sandwich around two linears."""
 
     def __init__(self, name: str, fc1: LinearStep, fc2: LinearStep) -> None:
@@ -585,10 +737,10 @@ class TokenMixStep(Step):
         self.fc1, self.fc2 = fc1, fc2
         self.inner = [fc1, fc2]
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
+    def __call__(self, x: np.ndarray, call=_call) -> np.ndarray:
         batch, tokens, dim = x.shape
         mixed = np.ascontiguousarray(x.transpose(0, 2, 1)).reshape(batch * dim, tokens)
-        mixed = self.fc2(self.fc1(mixed))
+        mixed = call(self.fc2, call(self.fc1, mixed))
         return x + mixed.reshape(batch, dim, tokens).transpose(0, 2, 1)
 
     def describe(self) -> str:
@@ -596,7 +748,7 @@ class TokenMixStep(Step):
         return f"token_mix[{self.name}]({inner})"
 
 
-class ChannelMixStep(Step):
+class ChannelMixStep(CompositeStep):
     """Mixer channel-mixing MLP on the ``(N*T, D)`` flattening."""
 
     def __init__(self, name: str, fc1: LinearStep, fc2: LinearStep) -> None:
@@ -604,10 +756,10 @@ class ChannelMixStep(Step):
         self.fc1, self.fc2 = fc1, fc2
         self.inner = [fc1, fc2]
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
+    def __call__(self, x: np.ndarray, call=_call) -> np.ndarray:
         batch, tokens, dim = x.shape
         flat = np.ascontiguousarray(x).reshape(batch * tokens, dim)
-        out = self.fc2(self.fc1(flat))
+        out = call(self.fc2, call(self.fc1, flat))
         return x + out.reshape(batch, tokens, dim)
 
     def describe(self) -> str:
@@ -659,7 +811,7 @@ class PlanBuilder:
                 # The GEMM input is activation codes; only the activation
                 # dequantization remains to fold into the output multiplier.
                 dequant = act_quant.scale
-            kernel = GroupedGemmKernel(w_mat, groups) if groups > 1 else None
+            kernel = None
         elif record is not None:
             w_mat = np.ascontiguousarray(
                 record.q.astype(np.float32).reshape(record.q.shape[0], -1)
@@ -672,18 +824,15 @@ class PlanBuilder:
                 # The GEMM output is codes x codes: both the weight and the
                 # activation dequantization fold into one output multiplier.
                 dequant = dequant * act_quant.scale
-            if groups > 1:
-                # Grouped convs run per-group float BLAS; the integer-GEMM
-                # selection policy only covers full-matrix kernels.
-                kernel = GroupedGemmKernel(w_mat, groups)
-            else:
-                kernel = _record_kernel(record, w_mat, act_quant, linear)
+            # Grouped convs get ConvStep's untagged grouped kernel: the
+            # integer certification only tags full-matrix GEMMs.
+            kernel = None if groups > 1 else _record_kernel(record, w_mat, act_quant, linear)
         else:
             weight = module.weight.data
             w_mat = weight.reshape(weight.shape[0], -1).astype(np.float32)
             dequant = 1.0
             bias = None if module.bias is None else module.bias.data
-            kernel = GroupedGemmKernel(w_mat, groups) if groups > 1 else None
+            kernel = None
         # Plan operands are only ever read: steps may run concurrently.
         w_mat.flags.writeable = False
         return w_mat, dequant, bias, act_quant, kernel
@@ -848,7 +997,7 @@ def step_kernel_tags(step: Step) -> Dict[str, str]:
     """``layer name -> kernel tag`` for every GEMM kernel nested in ``step``.
 
     Tags are the compile-time kernel selections the plan summary shows
-    (``f32``/``int8``/``int16``/``bp{bits}``); residual steps contribute
+    (``f32``/``int8``/``int16``); residual steps contribute
     their main and shortcut sub-plans.  The per-step profiler and the
     ``plan.step`` trace spans attach exactly this mapping, so a trace can
     be checked against :meth:`InferenceSession.summary` tag-for-tag.

@@ -5,8 +5,10 @@ layer plan (see :mod:`repro.deploy.plan`).  ``run`` takes an NCHW (or NF)
 float32 batch and returns logits; nothing on the hot path allocates a
 ``Tensor``, records a graph node, or touches the training stack — the only
 per-layer work is (for activation-quantized layers) the snap of the input
-onto its integer grid, the im2col gather, one GEMM against the integer
-weight matrix, and the folded output affine.
+onto its integer grid, the conv's input gather (shifted slices of a padded
+channel-major buffer, or im2col for strided dense convs and small
+batches), one GEMM against the integer weight matrix, and the folded
+output affine.
 
 Artifacts whose manifest carries frozen activation clip ranges
 (``act_bits < 32``, format version >= 2) compile to the integer-activation
@@ -25,7 +27,13 @@ import numpy as np
 
 from repro import obs
 from repro.deploy.artifact import Artifact, ArtifactError, load_artifact
-from repro.deploy.plan import Step, compile_plan, plan_summary, step_kernel_tags
+from repro.deploy.plan import (
+    CompositeStep,
+    Step,
+    compile_plan,
+    plan_summary,
+    step_kernel_tags,
+)
 
 
 class InferenceSession:
@@ -53,9 +61,10 @@ class InferenceSession:
     profile:
         Opt-in per-step profiler (also :meth:`set_profiling`): ``run``
         times every plan step — wall time plus the compile-time GEMM
-        kernel tags — into :attr:`last_profile`, and records ``plan.step``
-        trace spans when telemetry is on.  Off by default; the unprofiled
-        ``run`` path is unchanged.
+        kernel tags, and per sub-step for residual, attention and mixer
+        blocks — into :attr:`last_profile`, and records ``plan.step`` trace
+        spans when telemetry is on.  Off by default; the unprofiled ``run``
+        path is unchanged.
 
     ``run`` is safe to call from several threads at once: the compiled
     plan is a pure function of its input (every step allocates what it
@@ -111,6 +120,9 @@ class InferenceSession:
         #: records one ``plan.step`` trace span per step.
         self.profile_enabled = bool(profile)
         self.last_profile: Optional[List[Dict[str, object]]] = None
+        #: ``id(step) -> (describe(), kernel tags)``, filled as steps are
+        #: first profiled: a compiled step's labels never change.
+        self._profile_labels: Dict[int, Tuple[str, Dict[str, str]]] = {}
 
     def set_profiling(self, enabled: bool = True) -> None:
         """Toggle the per-step profiler.
@@ -206,34 +218,30 @@ class InferenceSession:
 
         Each step's timing, :meth:`~repro.deploy.plan.Step.describe` line,
         and GEMM kernel tags land in :attr:`last_profile` (one entry per
-        top-level plan step, mirroring :func:`plan_summary` order); with
-        telemetry enabled a ``plan.step`` span is recorded per step,
-        nesting under whatever span the caller holds open (the server's
-        ``server.batch``).
+        top-level plan step, mirroring :func:`plan_summary` order).  The
+        entry of a composite step (a residual, attention or mixer block)
+        also carries ``children``: one entry per sub-step it ran, in call
+        order, so every conv and linear layer has its own row.  With
+        telemetry enabled a ``plan.step`` span is recorded per top-level
+        step, nesting under whatever span the caller holds open (the
+        server's ``server.batch``).
         """
         handle = obs.telemetry()
         tracer = handle.tracer if handle is not None else None
         profile: List[Dict[str, object]] = []
         for step in self.plan:
             started = time.perf_counter()
-            out = step(out)
+            out, entry = _profiled_call(step, out, batch, self._profile_labels)
             ended = time.perf_counter()
-            kernels = step_kernel_tags(step)
-            profile.append({
-                "step": step.name,
-                "describe": step.describe(),
-                "kernels": kernels,
-                "ms": 1e3 * (ended - started),
-                "batch": batch,
-            })
+            profile.append(entry)
             if tracer is not None:
                 tracer.record(
                     "plan.step",
                     started,
                     ended,
                     step=step.name,
-                    describe=step.describe(),
-                    kernels=kernels,
+                    describe=entry["describe"],
+                    kernels=entry["kernels"],
                     batch=batch,
                 )
         self.last_profile = profile
@@ -254,3 +262,36 @@ class InferenceSession:
             correct += int((prediction == np.asarray(labels)).sum())
             total += len(labels)
         return {"accuracy": correct / total if total else float("nan")}
+
+
+def _profiled_call(
+    step: Step,
+    x: np.ndarray,
+    batch: int,
+    labels: Dict[int, Tuple[str, Dict[str, str]]],
+) -> Tuple[np.ndarray, Dict[str, object]]:
+    """Run ``step`` on ``x``, timing it and (for a composite) each sub-step."""
+    children: List[Dict[str, object]] = []
+
+    def call(sub_step: Step, value: np.ndarray) -> np.ndarray:
+        value, entry = _profiled_call(sub_step, value, batch, labels)
+        children.append(entry)
+        return value
+
+    composite = isinstance(step, CompositeStep)
+    started = time.perf_counter()
+    out = step(x, call) if composite else step(x)
+    ended = time.perf_counter()
+    label = labels.get(id(step))
+    if label is None:
+        label = labels[id(step)] = (step.describe(), step_kernel_tags(step))
+    entry: Dict[str, object] = {
+        "step": step.name,
+        "describe": label[0],
+        "kernels": dict(label[1]),
+        "ms": 1e3 * (ended - started),
+        "batch": batch,
+    }
+    if composite:
+        entry["children"] = children
+    return out, entry

@@ -14,8 +14,9 @@ against the frozen eval graph the artifact was exported from:
 * the manifest records the scheme id and the session exposes it.
 
 Plus seeded hypothesis-style property tests (following
-``test_roundtrip_properties.py``) for the two new plan primitives: grouped
-convolution GEMM packing and the fused attention/mixer steps.
+``test_roundtrip_properties.py``) for the plan primitives: conv GEMM
+packing on both input paths (im2col and the padded channel-major buffer) for
+dense, grouped and depthwise convs, and the fused attention/mixer steps.
 """
 
 import numpy as np
@@ -31,7 +32,9 @@ from repro.deploy import (
     load_artifact,
     save_artifact,
 )
+from repro.deploy import plan
 from repro.deploy.plan import (
+    ActQuantSpec,
     AttentionStep,
     ChannelMixStep,
     ConvStep,
@@ -174,25 +177,73 @@ def _conv_reference(conv, x):
         return conv(Tensor(x)).data
 
 
+def _draw_conv(rng, groups, large):
+    """A random conv geometry with ``groups`` (0 draws depthwise).
+
+    ``large`` draws the smallest batch whose gather is above the buffer
+    path's crossover, so the trial sits right at the shape rule's edge;
+    otherwise the batch is 1-3.
+    """
+    multiplier = int(rng.integers(1, 4))
+    if groups == 0:
+        groups = cin = cout = int(rng.integers(2, 13))
+    else:
+        cin = groups * int(rng.integers(1, 5))
+        cout = groups * multiplier
+    kernel = int(rng.choice([1, 3]))
+    stride = int(rng.choice([1, 2]))
+    padding = int(rng.integers(0, 2)) if kernel > 1 else 0
+    size = int(rng.integers(kernel + 1, 15))
+    batch = int(rng.integers(1, 4))
+    if large:
+        per_image = _gathered(cin, kernel, stride, padding, size, 1)
+        batch = _crossover(groups, cin, cout) // per_image + 1
+    return groups, cin, cout, kernel, stride, padding, size, batch
+
+
+def _crossover(groups, cin, cout):
+    """The gather size above which a stride-1 conv reads a padded buffer."""
+    if groups == cin == cout > 1:
+        return plan._DEPTHWISE_TAPS_MIN_ELEMENTS
+    return plan._SMALL_GATHER_ELEMENTS
+
+
+def _gathered(cin, kernel, stride, padding, size, batch):
+    out = (size + 2 * padding - kernel) // stride + 1
+    return cin * kernel * kernel * batch * out * out
+
+
+def _takes_buffer_path(groups, cin, cout, kernel, stride, padding, size, batch):
+    depthwise = groups == cin == cout > 1
+    return (stride == 1 or depthwise) and (
+        _gathered(cin, kernel, stride, padding, size, batch) > _crossover(groups, cin, cout)
+    )
+
+
 def test_grouped_conv_step_matches_eval_graph_randomized():
-    """Random grouped/depthwise geometries: ConvStep == nn.Conv2d forward.
+    """Random dense/grouped/depthwise geometries: ConvStep == nn.Conv2d forward.
 
     Draws cover depthwise (groups == channels), grouped and dense convs with
-    odd spatial sizes, strides, paddings and 1x1/3x3 kernels — the packing
-    claim under test is that im2col's channel-outermost row order makes each
-    group's reduction rows and output channels contiguous blocks.
+    odd spatial sizes, strides, paddings and 1x1/3x3 kernels, at batch sizes
+    that land on both sides of the buffer path's shape rule.  The packing
+    claim under test is that both paths' channel-outermost row order makes
+    each group's reduction rows and output channels contiguous blocks.
     """
     rng = np.random.default_rng(2024)
-    for trial in range(_TRIALS):
-        groups = int(rng.choice([1, 2, 3, 4]))
-        cin = groups * int(rng.integers(1, 4))
-        cout = groups * int(rng.integers(1, 4))
-        kernel = int(rng.choice([1, 3]))
-        stride = int(rng.choice([1, 2]))
-        padding = int(rng.integers(0, 2)) if kernel > 1 else 0
-        size = int(rng.integers(kernel + 1, 10))
-        batch = int(rng.integers(1, 4))
+    #: (kind, path) pairs drawn; every kind must land on both paths.
+    drawn = set()
+    depthwise_path_strides = set()
+    for trial in range(2 * _TRIALS):
+        groups, cin, cout, kernel, stride, padding, size, batch = _draw_conv(
+            rng, trial % 5, large=trial % 2 == 1
+        )
         bias = bool(rng.integers(0, 2))
+        buffered = _takes_buffer_path(groups, cin, cout, kernel, stride, padding, size, batch)
+        depthwise = groups == cin == cout and groups > 1
+        kind = "depthwise" if depthwise else "grouped" if groups > 1 else "dense"
+        drawn.add((kind, buffered))
+        if depthwise:
+            depthwise_path_strides.add((stride, buffered))
 
         conv = nn.Conv2d(cin, cout, kernel, stride=stride, padding=padding,
                          bias=bias, groups=groups)
@@ -219,6 +270,67 @@ def test_grouped_conv_step_matches_eval_graph_randomized():
         np.testing.assert_allclose(
             step(x), _conv_reference(conv, x), atol=1e-5, rtol=1e-5
         )
+    assert drawn == {(kind, path) for kind in ("dense", "grouped", "depthwise")
+                     for path in (False, True)}
+    assert depthwise_path_strides == {(1, True), (1, False), (2, True), (2, False)}
+
+
+def _bits(values):
+    return np.ascontiguousarray(values).view(np.uint32)
+
+
+def test_buffer_conv_is_bitwise_equal_to_im2col_on_integer_codes():
+    """Integer weights against quantized activations: the padded buffer and
+    im2col feed the same exact integer products, so the served bits match.
+
+    Every trial is a stride-1 dense or grouped conv, or a depthwise conv at
+    stride 1 or 2, above the shape rule's crossover; the reference is the
+    same step with the crossovers raised so that it gathers with im2col.
+    """
+    rng = np.random.default_rng(77)
+    kinds = set()
+    for trial in range(_TRIALS):
+        kind = int(rng.choice([0, 1, 2]))  # depthwise, dense, grouped
+        groups, cin, cout, kernel, stride, padding, size, batch = _draw_conv(
+            rng, kind, large=True
+        )
+        if kind:
+            # A stride-2 draw only raised the batch, so stride 1 stays above
+            # the crossover; strided depthwise convs use the buffer too.
+            stride = 1
+        assert _takes_buffer_path(groups, cin, cout, kernel, stride, padding, size, batch)
+        kinds.add((kind, kernel, stride))
+        spec = ActQuantSpec(
+            int(rng.choice([2, 4, 8])),
+            str(rng.choice(["observer", "pact"])),
+            float(rng.uniform(0.5, 3.0)),
+        )
+        w_mat = rng.integers(-7, 8, size=(cout, cin // groups * kernel * kernel))
+        step = ConvStep(
+            f"int{trial}",
+            w_mat.astype(np.float32),
+            rng.uniform(0.001, 0.1, size=cout).astype(np.float32),
+            rng.standard_normal(cout).astype(np.float32) if trial % 2 else None,
+            kernel_size=kernel,
+            stride=stride,
+            padding=padding,
+            relu=bool(trial % 3),
+            act_quant=spec,
+            groups=groups,
+        )
+        # Inputs as a previous conv step hands them over: a transposed
+        # channel-major view, with negatives the quantizer clips.
+        x = rng.standard_normal((cin, batch, size, size)).astype(np.float32)
+        x = x.transpose(1, 0, 2, 3)
+        buffered = step(x)
+        with pytest.MonkeyPatch.context() as patch:
+            for crossover in ("_SMALL_GATHER_ELEMENTS", "_DEPTHWISE_TAPS_MIN_ELEMENTS"):
+                patch.setattr(plan, crossover, np.iinfo(np.int64).max)
+            reference = step(x)
+        np.testing.assert_array_equal(_bits(buffered), _bits(reference), err_msg=f"trial {trial}")
+    assert {kind for kind, _, _ in kinds} == {0, 1, 2}
+    assert {kernel for _, kernel, _ in kinds} == {1, 3}
+    assert {stride for kind, _, stride in kinds if kind == 0} == {1, 2}
 
 
 def test_grouped_kernel_rejects_indivisible_geometry():

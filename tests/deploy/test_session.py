@@ -262,3 +262,72 @@ def test_profiled_run_matches_unprofiled(artifact_path, rng):
     session.set_profiling(True)
     got = session.run(x)
     assert want.tobytes() == got.tobytes()
+
+
+def _profile_rows(entries):
+    for entry in entries:
+        yield entry
+        yield from _profile_rows(entry.get("children", []))
+
+
+def test_profile_names_every_resnet20_conv(artifact_path, rng):
+    """Composite entries carry per-sub-step rows: all 21 resnet20 convs show.
+
+    The top level stays one entry per plan step (13 for resnet20, where
+    residual blocks hide their convs); each residual entry's ``children``
+    list its main and shortcut steps with their own describe line, kernel
+    tags and time.
+    """
+    session, _ = _session_and_reference(
+        "resnet20", {"num_classes": 10, "width_mult": 0.25}, artifact_path
+    )
+    session.set_profiling(True)
+    x = rng.standard_normal((2, 3, 12, 12)).astype(np.float32)
+    want = session.run(x)
+    profile = session.last_profile
+    assert len(profile) == len(session.plan) == 13
+    convs = {}
+    for row in _profile_rows(profile):
+        assert row["ms"] >= 0.0
+        if row["describe"].startswith("conv["):
+            convs[row["step"]] = row
+    expected = {name for name, module in session.artifact.build_model().named_modules()
+                if type(module).__name__ == "Conv2d"}
+    assert len(expected) == 21
+    assert set(convs) == expected
+    for name, row in convs.items():
+        assert row["kernels"] == {name: session.gemm_kernels[name]}
+    for entry, step in zip(profile, session.plan):
+        if entry["describe"].startswith("residual["):
+            children = [child["step"] for child in entry["children"]]
+            assert children == [sub.name for sub in step.main + step.shortcut]
+            # A block's time covers its sub-steps'.
+            assert entry["ms"] >= sum(child["ms"] for child in entry["children"])
+        else:
+            assert "children" not in entry
+    session.set_profiling(False)
+    assert session.run(x).tobytes() == want.tobytes()
+
+
+def test_profile_children_of_attention_and_mixer_blocks(rng, tmp_path):
+    """Attention and mixer entries list their nested linears as children."""
+    for arch, kwargs in (
+        ("tiny_attention", {"num_classes": 5, "dim": 8, "patch_size": 4}),
+        ("tiny_mixer", {"num_classes": 5, "dim": 8, "patch_size": 4, "image_size": 8}),
+    ):
+        model = frozen_scheme_model("csq", arch, seed=3, **kwargs)
+        path = str(tmp_path / f"{arch}.npz")
+        save_artifact(model, path, arch=arch, arch_kwargs=kwargs)
+        session = InferenceSession(path, profile=True)
+        session.run(rng.standard_normal((2, 3, 8, 8)).astype(np.float32))
+        composites = [
+            (entry, step) for entry, step in zip(session.last_profile, session.plan)
+            if "children" in entry
+        ]
+        assert composites, arch
+        for entry, step in composites:
+            # Children come in call order, which is the order of ``inner``.
+            assert [child["step"] for child in entry["children"]] == [
+                sub.name for sub in step.inner
+            ]
+            assert all(child["kernels"] for child in entry["children"])

@@ -1,11 +1,11 @@
 """Scratch memory: warm steps retain nothing, freed state fails loudly.
 
-Training and serving scratch (im2col columns, padding, BN and CSQ
-intermediates, activation codes) is plain NumPy memory owned by the call
-or backward closure that uses it.  The steady-state tests hold both hot
-loops to that contract with ``tracemalloc``, which traces NumPy's data
-buffers: once warm, repeated calls must not leave traced memory above its
-pre-call level.
+Training and serving scratch (im2col columns, padded channel-major conv
+buffers, BN and CSQ intermediates, activation codes) is plain NumPy memory
+owned by the call or backward closure that uses it.  The steady-state tests
+hold both hot loops to that contract with ``tracemalloc``, which traces
+NumPy's data buffers: once warm, repeated calls must not leave traced
+memory above its pre-call level.
 """
 
 import gc
@@ -72,9 +72,19 @@ class TestSteadyState:
 
         assert _retained_bytes(step) <= _SLACK_BYTES
 
-    def test_inference_session_runs_warm(self):
-        """A compiled plan keeps nothing between calls, from its first call on."""
+    @pytest.mark.parametrize(
+        "batch, size, buffered",
+        [(16, 10, True), (1, 32, False)],
+        ids=["padded-buffer", "im2col"],
+    )
+    def test_inference_session_runs_warm(self, batch, size, buffered):
+        """A compiled plan keeps nothing between calls, from its first call on.
+
+        Batch 16 puts the first conv on the padded-buffer path, batch 1 on
+        im2col: both sides of the shape rule are held to the contract.
+        """
         from repro.deploy import InferenceSession, save_artifact
+        from repro.deploy import plan
         from repro.deploy.testing import frozen_mixed_model
 
         model = frozen_mixed_model("simple_convnet", num_classes=10, width=8)
@@ -83,14 +93,19 @@ class TestSteadyState:
             save_artifact(model, path, arch="simple_convnet",
                           arch_kwargs={"num_classes": 10, "width": 8})
             session = InferenceSession(path)
-        batch = np.random.default_rng(0).standard_normal((16, 3, 10, 10)).astype(np.float32)
+        images = np.random.default_rng(0).standard_normal((batch, 3, size, size))
+        images = images.astype(np.float32)
         first_conv = next(step for step in session.plan if hasattr(step, "kernel"))
-        # One conv output is far above the slack, so any buffer a step kept
-        # from a call would show.
-        assert first_conv.out_channels * batch.shape[0] * 10 * 10 * 4 > 2 * _SLACK_BYTES
+        # The first conv is stride 1 with 3x3 padding 1: its gather holds
+        # 27 * batch * size**2 elements, which decides its path.
+        gathered = 27 * batch * size * size
+        assert (gathered > plan._SMALL_GATHER_ELEMENTS) == buffered
+        # Its gathered columns are far above the slack, so any buffer a
+        # step kept from a call would show.
+        assert gathered * 4 > 2 * _SLACK_BYTES
         # The returned logits are the caller's; drop them inside the call.
         # No warm-up: the baseline is taken before the session's first run.
-        assert _retained_bytes(lambda: session.run(batch), warmup=0) <= _SLACK_BYTES
+        assert _retained_bytes(lambda: session.run(images), warmup=0) <= _SLACK_BYTES
 
 
 class TestReleasedStateGuards:
