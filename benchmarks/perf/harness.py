@@ -153,8 +153,8 @@ def _environment() -> Dict[str, object]:
     Delegates to :func:`repro.obs.provenance.environment_block` — one
     canonical provenance block shared with the telemetry run manifests and
     ``scripts/loadgen.py``, so baselines and soak runs are comparable by
-    the same identity fields (git SHA, numpy, thread knobs, BLAS backend
-    and threads, cpu_count).
+    the same identity fields (git SHA, numpy, BLAS backend and threads,
+    cpu_count).
     """
     from repro.obs.provenance import environment_block
 

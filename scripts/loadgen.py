@@ -366,7 +366,7 @@ def render_report(
         "",
         f"- git `{environment['git_sha']}`, numpy {environment['numpy']}, "
         f"{environment['cpu_count']} cpu(s), "
-        f"REPRO_NUM_THREADS={environment['repro_num_threads']}",
+        f"{environment['blas']} at {environment['blas_threads']} blas thread(s)",
         f"- artifact: `{args.arch}` width {args.width}, act_bits {args.act_bits}, "
         f"packed {artifact_info['bytes'] / 1024:.1f} KiB, "
         f"gemm kernels {'/'.join(sorted(set(kernels.values())))}",

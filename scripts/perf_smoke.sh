@@ -11,11 +11,10 @@
 # The committed baseline stores both quick- and tiny-scale sections; this
 # script compares against the tiny section (BENCH_perf_tiny.json alongside
 # the quick-scale BENCH_perf.json).  Refresh baselines after intentional
-# perf changes with (REPRO_NUM_THREADS=1 keeps them comparable to this
-# gate, which pins one compute thread):
-#   REPRO_NUM_THREADS=1 PYTHONPATH=src python -m benchmarks.perf.run \
+# perf changes with:
+#   PYTHONPATH=src python -m benchmarks.perf.run \
 #       --suite all --label baseline
-#   REPRO_NUM_THREADS=1 PYTHONPATH=src python -m benchmarks.perf.run \
+#   PYTHONPATH=src python -m benchmarks.perf.run \
 #       --suite ops --suite csq --suite infer --scale tiny \
 #       --label baseline-tiny --warmup 3 --iters 21 \
 #       --output BENCH_perf_tiny.json
@@ -57,10 +56,7 @@ if missing:
     raise SystemExit(f"Baseline lacks gated integer-activation cases: {sorted(missing)}")
 EOF
 
-# The regression gate is pinned to one compute thread: the committed tiny
-# baseline was recorded at REPRO_NUM_THREADS=1, and comparing timings taken
-# at different thread counts would make the gate meaningless.
-REPRO_NUM_THREADS=1 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m benchmarks.perf.run \
+PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m benchmarks.perf.run \
     --suite ops --suite csq --suite infer \
     --scale tiny --warmup 2 --iters 7 \
     --label smoke --output "$CANDIDATE"
@@ -79,17 +75,19 @@ python scripts/perf_compare.py "$BASELINE" "$CANDIDATE" \
 # only with a written justification — this gate enforces the "zero-cost
 # when disabled, cheap when enabled" claim in OBSERVABILITY.md.
 echo "Running telemetry on/off overhead gate..."
-REPRO_NUM_THREADS=1 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \
-    python scripts/telemetry_gate.py
+PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python scripts/telemetry_gate.py
 
 # Integer-GEMM sanity: float32 BLAS on code matrices whose gemm_bound is
-# below 2**24 must equal the int64 reference bit-for-bit, at 1 and 2
-# compute threads (not timed, not gated) — the certification every
-# int8/int16-tagged plan layer relies on.
+# below 2**24 must equal the int64 reference bit-for-bit, at 1 and 2 BLAS
+# threads (not timed, not gated) — the certification every int8/int16-tagged
+# plan layer relies on.  OpenBLAS reads its thread count when it loads, so
+# each count runs in its own process.
 echo "Running int-GEMM exactness sanity check..."
-PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python - <<'EOF'
+for threads in 1 2; do
+OPENBLAS_NUM_THREADS=$threads PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python - <<'EOF'
+import os
 import numpy as np
-from repro import runtime
+from repro.runtime import parallel_gemm
 from repro.runtime.intgemm import F32_EXACT_BOUND, gemm_bound
 
 rng = np.random.default_rng(0)
@@ -97,37 +95,40 @@ w = rng.integers(-2, 2, size=(24, 576), dtype=np.int64)   # 2-bit codes
 x = rng.integers(0, 16, size=(576, 700), dtype=np.int64)  # 4-bit codes
 assert gemm_bound(576, -2, 1, 0, 15) < F32_EXACT_BOUND
 
-reference = np.matmul(w, x)
-for threads in (1, 2):
-    with runtime.thread_scope(threads):
-        got = runtime.parallel_gemm(w.astype(np.float32), x.astype(np.float32))
-    assert np.array_equal(got.astype(np.int64), reference), \
-        f"f32 GEMM diverged from the int64 reference at {threads} thread(s)"
-print("int-GEMM: f32 parallel_gemm == int64 matmul (exact) at 1 and 2 threads OK")
+threads = os.environ["OPENBLAS_NUM_THREADS"]
+got = parallel_gemm(w.astype(np.float32), x.astype(np.float32))
+assert np.array_equal(got.astype(np.int64), np.matmul(w, x)), \
+    f"f32 GEMM diverged from the int64 reference at {threads} BLAS thread(s)"
+print(f"int-GEMM: f32 parallel_gemm == int64 matmul (exact) at {threads} BLAS thread(s) OK")
 EOF
+done
 
-# Two-thread sanity: the sharded kernels must produce bitwise-identical
-# forward/backward results with the pool engaged (not timed, not gated).
+# Two-thread sanity: conv forward/backward must produce bitwise-identical
+# results at 1 and 2 BLAS threads (not timed, not gated).  Each count runs
+# in its own process and prints a digest of its bytes.
 echo "Running 2-thread parity sanity check..."
-REPRO_NUM_THREADS=2 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python - <<'EOF'
+digests=()
+for threads in 1 2; do
+digests+=("$(OPENBLAS_NUM_THREADS=$threads PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python - <<'EOF'
+import hashlib
 import numpy as np
-from repro import runtime
 from repro.autograd import ops
 from repro.autograd.tensor import Tensor
 
-assert runtime.num_threads() == 2, runtime.num_threads()
 rng = np.random.default_rng(0)
-x_data = rng.standard_normal((8, 6, 10, 10)).astype(np.float32)
-w_data = rng.standard_normal((12, 6, 3, 3)).astype(np.float32)
-results = {}
-for threads in (1, 2):
-    with runtime.thread_scope(threads):
-        x = Tensor(x_data, requires_grad=True)
-        w = Tensor(w_data, requires_grad=True)
-        out = ops.conv2d(x, w, stride=1, padding=1)
-        out.sum().backward()
-        results[threads] = (out.data.copy(), x.grad.copy(), w.grad.copy())
-for got, want in zip(results[2], results[1]):
-    assert np.array_equal(got, want), "multi-thread conv results diverged"
-print("2-thread conv fwd/bwd parity: bitwise equal")
+x = Tensor(rng.standard_normal((8, 6, 10, 10)).astype(np.float32), requires_grad=True)
+w = Tensor(rng.standard_normal((12, 6, 3, 3)).astype(np.float32), requires_grad=True)
+out = ops.conv2d(x, w, stride=1, padding=1)
+out.sum().backward()
+digest = hashlib.sha1()
+for array in (out.data, x.grad, w.grad):
+    digest.update(np.ascontiguousarray(array).tobytes())
+print(digest.hexdigest())
 EOF
+)")
+done
+if [[ "${digests[0]}" != "${digests[1]}" ]]; then
+    echo "conv fwd/bwd diverged between 1 and 2 BLAS threads: ${digests[*]}" >&2
+    exit 1
+fi
+echo "2-thread conv fwd/bwd parity: bitwise equal"

@@ -23,7 +23,7 @@ from typing import Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.autograd.tensor import ArrayLike, Tensor, ensure_tensor, unbroadcast
-from repro.runtime.threadpool import parallel_apply, parallel_gemm
+from repro.runtime.intgemm import parallel_gemm
 
 # ---------------------------------------------------------------------------
 # Elementwise arithmetic
@@ -507,9 +507,7 @@ def softmax(x: ArrayLike, axis: int = -1) -> Tensor:
 # fresh column buffer — kernel_h * kernel_w large vectorized copies,
 # which beats both ``np.add.at`` fancy indexing and a single reshape-copy of
 # an ``as_strided`` 6-D patch view (the 6-D iterator degrades to tiny inner
-# runs; the per-offset slices keep NumPy's 4-D copy loops hot).  The gather
-# is sharded across the runtime thread pool; shards write disjoint slices,
-# so results are bitwise identical at any thread count.
+# runs; the per-offset slices keep NumPy's 4-D copy loops hot).
 #
 # Conv backward-data can run as a *transposed convolution*: the incoming
 # gradient is (fractionally-strided) dilated, gathered with the same fast
@@ -583,27 +581,10 @@ def im2col(
         return cols6.reshape(channels * kernel_h * kernel_w, batch * out_h * out_w)
 
     src = padded.transpose(1, 0, 2, 3)  # (C, N, H, W) view
-    if channels >= batch:
-        def gather(lo: int, hi: int) -> None:
-            for di in range(kernel_h):
-                row = slice(di, di + stride * out_h, stride)
-                for dj in range(kernel_w):
-                    np.copyto(
-                        cols6[lo:hi, di, dj],
-                        src[lo:hi, :, row, dj:dj + stride * out_w:stride],
-                    )
-        parallel_apply(gather, channels)
-    else:
-        def gather(lo: int, hi: int) -> None:
-            for di in range(kernel_h):
-                row = slice(di, di + stride * out_h, stride)
-                for dj in range(kernel_w):
-                    np.copyto(
-                        cols6[:, di, dj, lo:hi],
-                        src[:, lo:hi, row, dj:dj + stride * out_w:stride],
-                    )
-        parallel_apply(gather, batch)
-
+    for di in range(kernel_h):
+        row = slice(di, di + stride * out_h, stride)
+        for dj in range(kernel_w):
+            np.copyto(cols6[:, di, dj], src[:, :, row, dj:dj + stride * out_w:stride])
     return cols6.reshape(channels * kernel_h * kernel_w, batch * out_h * out_w)
 
 
@@ -658,8 +639,7 @@ def conv2d_backward_data(
       path for exotic geometries (``padding > kernel - 1``, non-square
       kernels).
 
-    The choice depends only on shapes — never on thread count — keeping
-    results bitwise reproducible at any ``REPRO_NUM_THREADS``.
+    The choice depends only on shapes, never on the host.
 
     ``grad_flat`` may pass an already-packed ``(C_out, N*oh*ow)`` view of
     ``grad`` (channel-major) so the col2im path avoids re-packing it.
@@ -806,17 +786,14 @@ def conv2d(
         grad_weight = np.empty(
             (out_channels, rows_g), dtype=np.result_type(grad_flat.dtype, cols.dtype)
         )
-        # Row sharding keeps each weight-gradient element one full-length
-        # reduction, preserving bitwise determinism across thread counts.
         if groups == 1:
-            parallel_gemm(grad_flat, cols.T, out=grad_weight, shard="rows")
+            parallel_gemm(grad_flat, cols.T, out=grad_weight)
         else:
             for g in range(groups):
                 parallel_gemm(
                     grad_flat[g * cout_g:(g + 1) * cout_g],
                     cols[g * rows_g:(g + 1) * rows_g].T,
                     out=grad_weight[g * cout_g:(g + 1) * cout_g],
-                    shard="rows",
                 )
         grad_weight = grad_weight.reshape(weight.shape)
         cols = None  # the columns are dead; a second backward call is a bug

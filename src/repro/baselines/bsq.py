@@ -38,7 +38,7 @@ from repro.quant.act_quant import ActivationQuantizer
 from repro.quant.functional import bit_decompose
 from repro.quant.scheme import QuantizationScheme
 from repro.quant.ste import ste_round
-from repro.training.loop import TrainingHistory, evaluate
+from repro.training.loop import TrainingHistory, evaluate, fit
 
 
 class _BSQLayerBase(Module):
@@ -222,27 +222,17 @@ class BSQTrainer:
             self.model.parameters(), lr=cfg.lr, momentum=cfg.momentum, weight_decay=cfg.weight_decay
         )
         scheduler = WarmupCosine(optimizer, total_epochs=cfg.epochs)
-        for epoch in range(cfg.epochs):
-            self.model.train()
-            losses, accuracies = [], []
-            for images, labels in self.train_loader:
-                logits = self.model(Tensor(images))
-                loss = F.cross_entropy(logits, labels) + self._sparsity_penalty().sum()
-                optimizer.zero_grad()
-                loss.backward()
-                optimizer.step()
-                losses.append(float(loss.data))
-                accuracies.append(F.accuracy(logits, labels))
-            test_metrics = evaluate(self.model, self.test_loader)
-            self.history.train_loss.append(float(np.mean(losses)))
-            self.history.train_accuracy.append(float(np.mean(accuracies)))
-            self.history.test_loss.append(test_metrics["loss"])
-            self.history.test_accuracy.append(test_metrics["accuracy"])
-            self.history.record_extra("average_precision", self.average_precision())
-            scheduler.step()
+
+        def on_epoch_end(epoch: int, history: TrainingHistory) -> None:
+            history.record_extra("average_precision", self.average_precision())
             if (epoch + 1) % cfg.prune_interval == 0:
                 for _, layer in bsq_layers(self.model):
                     layer.prune_bits(cfg.prune_threshold)
+
+        self.history = fit(
+            self.model, self.train_loader, self.test_loader, optimizer, cfg.epochs,
+            scheduler=scheduler, extra_loss=self._sparsity_penalty, on_epoch_end=on_epoch_end,
+        )
         return self.history
 
     def evaluate(self) -> Dict[str, float]:

@@ -41,8 +41,7 @@ from repro.autograd.ops import _SMALL_GATHER_ELEMENTS, im2col
 from repro.deploy.artifact import QuantizedTensorRecord
 from repro.nn.module import Module
 from repro.quant.act_quant import RANGE_FLOOR
-from repro.runtime.intgemm import kernel_tag
-from repro.runtime.threadpool import parallel_gemm
+from repro.runtime.intgemm import kernel_tag, parallel_gemm
 
 
 class PlanError(ValueError):
@@ -315,9 +314,7 @@ class ConvStep(Step):
     Every array a call writes — the buffer or column matrix and the output
     — is allocated by that call, and the step's own operands are
     read-only, so a step (and a plan of them) is a pure function of its
-    input and safe to call from several threads at once.  The dense GEMM is
-    sharded across the runtime thread pool when ``REPRO_NUM_THREADS``
-    allows.
+    input and safe to call from several threads at once.
     """
 
     def __init__(

@@ -79,18 +79,13 @@ def environment_block() -> Dict[str, object]:
     """Interpreter + machine + compute-runtime metadata recorded per run.
 
     The thread configuration is part of a result's identity: runs recorded
-    at different ``REPRO_NUM_THREADS`` or BLAS thread counts (or on hosts
-    with different core counts) must never be silently compared, so all of
-    them are recorded — as are the BLAS backend, the telemetry knob, and
-    the git SHA of the checkout that produced the numbers.
+    at different BLAS thread counts (or on hosts with different core
+    counts) must never be silently compared, so both are recorded — as are
+    the BLAS backend, the telemetry knob, and the git SHA of the checkout
+    that produced the numbers.
     """
     import numpy as np
 
-    try:
-        from repro.runtime import num_threads
-        threads: object = num_threads()
-    except Exception:  # library not importable (foreign checkout): raw env
-        threads = os.environ.get("REPRO_NUM_THREADS", "unset")
     blas, blas_threads = blas_info()
     return {
         "python": sys.version.split()[0],
@@ -98,8 +93,6 @@ def environment_block() -> Dict[str, object]:
         "platform": platform.platform(),
         "cpu_count": os.cpu_count(),
         "git_sha": git_sha(),
-        "repro_num_threads": threads,
-        "repro_num_threads_env": os.environ.get("REPRO_NUM_THREADS", "unset"),
         "blas": blas,
         "blas_threads": blas_threads,
         "repro_telemetry": os.environ.get("REPRO_TELEMETRY", "unset"),
@@ -110,8 +103,7 @@ def environment_block() -> Dict[str, object]:
 #: (the loadgen self-check and the tier-1 smoke assert these).
 REQUIRED_MANIFEST_FIELDS = ("label", "created_unix", "environment", "params")
 REQUIRED_ENVIRONMENT_FIELDS = (
-    "git_sha", "numpy", "cpu_count",
-    "repro_num_threads", "blas", "blas_threads",
+    "git_sha", "numpy", "cpu_count", "blas", "blas_threads",
 )
 
 

@@ -20,6 +20,10 @@ bound the integer result and the float32 eval graph the model was
 validated as genuinely diverge; serving keeps float32 semantics there.
 Every layer runs the same float32 GEMM either way — the tag records which
 semantics that GEMM has.
+
+:func:`parallel_gemm` is that GEMM: the one 2-D matmul entry point of the
+training ops and the deploy plans.  It is a single BLAS call, and its only
+parallelism is the BLAS library's own threads.
 """
 
 from __future__ import annotations
@@ -27,10 +31,6 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-
-# Re-exported at module level because the benchmark's trace mode patches
-# ``parallel_gemm`` by attribute on this module.
-from repro.runtime.threadpool import parallel_gemm  # noqa: F401
 
 #: Largest magnitude for which every intermediate of an integer GEMM is
 #: exactly representable in float32.
@@ -94,10 +94,25 @@ def kernel_tag(k: int, w_lo: int, w_hi: int, a_bits: Optional[int]) -> str:
     return f"int{8 * width}"
 
 
+def parallel_gemm(
+    a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """2-D matmul ``a @ b`` as one BLAS call, written into ``out`` if given.
+
+    The conv GEMMs of the training ops and the deploy plans go through this
+    module-level name, which the benchmark's trace mode patches by
+    attribute.  The only threads are BLAS's own.
+    """
+    if a.ndim != 2 or b.ndim != 2:
+        raise ValueError(f"parallel_gemm needs 2-D operands, got {a.ndim}-D @ {b.ndim}-D")
+    return np.matmul(a, b, out=out)
+
+
 __all__ = [
     "F32_EXACT_BOUND",
     "IntGemmError",
     "gemm_bound",
     "kernel_tag",
     "natural_int_dtype",
+    "parallel_gemm",
 ]

@@ -120,6 +120,21 @@ class TestBSQ:
         assert len(trainer.history.test_accuracy) == 2
         assert trainer.scheme().total_elements > 0
 
+    def test_trainer_prunes_only_at_the_interval(self, tiny_loaders):
+        train_loader, test_loader = tiny_loaders
+        config = BSQConfig(
+            epochs=3, lr=0.05, weight_decay=0.0, sparsity_strength=0.5,
+            prune_interval=2, prune_threshold=0.2,
+        )
+        trainer = BSQTrainer(SimpleConvNet(num_classes=4, width=4), train_loader, test_loader, config)
+        trainer.train()
+        # Precision is recorded before each epoch's prune: full until the
+        # prune at the end of epoch 2, reduced in epoch 3's record.
+        precision = trainer.history.extra["average_precision"]
+        assert precision[:2] == [8.0, 8.0]
+        assert precision[2] < 8.0
+        assert precision[2] == trainer.average_precision()
+
 
 class TestHAWQ:
     def test_sensitivities_cover_all_layers(self):

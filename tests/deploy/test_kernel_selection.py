@@ -13,8 +13,7 @@ import pytest
 
 from repro.deploy import InferenceSession, load_artifact, save_artifact
 from repro.deploy.plan import GemmKernel
-from repro.runtime.intgemm import F32_EXACT_BOUND, gemm_bound
-from repro.runtime.threadpool import parallel_gemm, thread_scope
+from repro.runtime.intgemm import F32_EXACT_BOUND, gemm_bound, parallel_gemm
 from tests.deploy.conftest import frozen_mixed_model
 
 _KWARGS = {"num_classes": 10, "width_mult": 0.25}
@@ -87,11 +86,9 @@ def test_f32_gemm_on_certified_codes_is_exact_integer_arithmetic():
             w[:] = w_lo
             x[:] = 15
         reference = np.matmul(w.astype(np.int64), x.astype(np.int64))
-        for threads in (1, 2):
-            with thread_scope(threads):
-                got = parallel_gemm(w.astype(np.float32), x.astype(np.float32))
-            assert got.dtype == np.float32
-            np.testing.assert_array_equal(got.astype(np.int64), reference, err_msg=str(trial))
+        got = parallel_gemm(w.astype(np.float32), x.astype(np.float32))
+        assert got.dtype == np.float32
+        np.testing.assert_array_equal(got.astype(np.int64), reference, err_msg=str(trial))
 
 
 def test_float_activation_plan_keeps_float_kernels(artifact_path):

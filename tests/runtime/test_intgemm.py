@@ -1,4 +1,5 @@
-"""Compile-time integer-GEMM certification: bound, storage widths, tags.
+"""Compile-time integer-GEMM certification (bound, storage widths, tags)
+and the plain ``parallel_gemm`` entry point.
 
 The exactness claim itself (f32 BLAS on certified code matrices equals the
 int64 reference bit for bit) is pinned in
@@ -14,6 +15,7 @@ from repro.runtime.intgemm import (
     gemm_bound,
     kernel_tag,
     natural_int_dtype,
+    parallel_gemm,
 )
 
 
@@ -57,3 +59,21 @@ def test_kernel_tag_int16_widths():
     assert kernel_tag(16, -256, 255, 4) == "int16"
     # 9-bit activations widen the tag even with 8-bit weights.
     assert kernel_tag(16, -8, 7, 9) == "int16"
+
+
+def test_parallel_gemm_matches_numpy():
+    rng = np.random.default_rng(1)
+    a = rng.standard_normal((33, 70)).astype(np.float32)
+    b = rng.standard_normal((70, 9000)).astype(np.float32)
+    np.testing.assert_allclose(parallel_gemm(a, b), a @ b, rtol=1e-6, atol=1e-5)
+    out = np.empty((33, 9000), np.float32)
+    assert parallel_gemm(a, b, out=out) is out
+    np.testing.assert_allclose(out, a @ b, rtol=1e-6, atol=1e-5)
+
+
+def test_parallel_gemm_rejects_non_2d_operands():
+    a = np.ones((2, 3), np.float32)
+    with pytest.raises(ValueError):
+        parallel_gemm(a, np.ones(3, np.float32))
+    with pytest.raises(ValueError):
+        parallel_gemm(np.ones((1, 2, 3), np.float32), np.ones((3, 2), np.float32))
