@@ -22,11 +22,28 @@ import sys
 from typing import Dict, Tuple
 
 
-def load_results(path: str) -> Tuple[str, Dict[Tuple[str, str], dict]]:
+def load_results(path: str) -> Tuple[str, Dict[Tuple[str, str], dict], dict]:
     with open(path) as handle:
         document = json.load(handle)
     by_case = {(r["suite"], r["name"]): r for r in document["results"]}
-    return document.get("label", path), by_case
+    return document.get("label", path), by_case, document.get("environment", {})
+
+
+def environment_mismatch(base: dict, cand: dict) -> str:
+    """One line naming every ``environment`` field the two files disagree on.
+
+    A field differs when both record it with different values, or when only
+    one side records it.  Empty when the blocks match.
+    """
+    fields = []
+    for key in sorted(set(base) | set(cand)):
+        if key not in cand:
+            fields.append(f"{key} (base only)")
+        elif key not in base:
+            fields.append(f"{key} (candidate only)")
+        elif base[key] != cand[key]:
+            fields.append(f"{key} ({base[key]} vs {cand[key]})")
+    return "environment differs: " + ", ".join(fields) if fields else ""
 
 
 def main(argv=None) -> int:
@@ -67,8 +84,11 @@ def main(argv=None) -> int:
     stat_key = f"{args.stat}_s"
     ungated = re.compile(args.ungate) if args.ungate else None
 
-    base_label, base = load_results(args.base)
-    cand_label, cand = load_results(args.candidate)
+    base_label, base, base_env = load_results(args.base)
+    cand_label, cand, cand_env = load_results(args.candidate)
+    mismatch = environment_mismatch(base_env, cand_env)
+    if mismatch:
+        print(mismatch + "\n")
     shared = sorted(set(base) & set(cand))
     if not shared:
         print("No shared cases between the two result files", file=sys.stderr)

@@ -56,26 +56,8 @@ if missing:
     raise SystemExit(f"Baseline lacks gated integer-activation cases: {sorted(missing)}")
 EOF
 
-PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m benchmarks.perf.run \
-    --suite ops --suite csq --suite infer \
-    --scale tiny --warmup 2 --iters 7 \
-    --label smoke --output "$CANDIDATE"
-
-python scripts/perf_compare.py "$BASELINE" "$CANDIDATE" \
-    --fail-threshold "$THRESHOLD" --noise-threshold "$NOISE"
-
-# Telemetry overhead gate: the same serving work with telemetry off and
-# on must stay within 5% (span bookkeeping + histogram stats, no sink).
-# Interleaved off/on samples in ONE process (scripts/telemetry_gate.py):
-# this host drifts >5% between back-to-back processes, so a two-process
-# comparison at a 5% threshold is a coin flip even on min-of-samples —
-# interleaving makes both modes sample the same host conditions.  The
-# disabled path is additionally pinned bitwise by
-# tests/obs/test_disabled_overhead.py.  Raise TELEMETRY_SMOKE_THRESHOLD
-# only with a written justification — this gate enforces the "zero-cost
-# when disabled, cheap when enabled" claim in OBSERVABILITY.md.
-echo "Running telemetry on/off overhead gate..."
-PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python scripts/telemetry_gate.py
+# The correctness sanity blocks run first: the absolute timing gate below
+# can trip on a host unlike the baseline's, and they must run regardless.
 
 # Integer-GEMM sanity: float32 BLAS on code matrices whose gemm_bound is
 # below 2**24 must equal the int64 reference bit-for-bit, at 1 and 2 BLAS
@@ -132,3 +114,29 @@ if [[ "${digests[0]}" != "${digests[1]}" ]]; then
     exit 1
 fi
 echo "2-thread conv fwd/bwd parity: bitwise equal"
+
+# The absolute timing gate: its status is kept and returned at the end, so
+# the telemetry gate after it still runs when it trips.
+PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m benchmarks.perf.run \
+    --suite ops --suite csq --suite infer \
+    --scale tiny --warmup 2 --iters 7 \
+    --label smoke --output "$CANDIDATE"
+
+timing_status=0
+python scripts/perf_compare.py "$BASELINE" "$CANDIDATE" \
+    --fail-threshold "$THRESHOLD" --noise-threshold "$NOISE" || timing_status=$?
+
+# Telemetry overhead gate: the same serving work with telemetry off and
+# on must stay within 5% (span bookkeeping + histogram stats, no sink).
+# Interleaved off/on samples in ONE process (scripts/telemetry_gate.py):
+# this host drifts >5% between back-to-back processes, so a two-process
+# comparison at a 5% threshold is a coin flip even on min-of-samples —
+# interleaving makes both modes sample the same host conditions.  The
+# disabled path is additionally pinned bitwise by
+# tests/obs/test_disabled_overhead.py.  Raise TELEMETRY_SMOKE_THRESHOLD
+# only with a written justification — this gate enforces the "zero-cost
+# when disabled, cheap when enabled" claim in OBSERVABILITY.md.
+echo "Running telemetry on/off overhead gate..."
+PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python scripts/telemetry_gate.py
+
+exit "$timing_status"

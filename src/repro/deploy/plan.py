@@ -9,10 +9,11 @@ activations:
   becomes **one** step: a single GEMM against the integer weight matrix
   and a per-output-channel affine that folds the dequantization factor, the
   BN scale/shift and the conv bias — dequantized exactly once, in the output
-  domain.  The GEMM reads shifted slices of one zero-bordered channel-major
-  buffer (a 1x1 conv reads the activation itself, and a depthwise conv is
-  k*k multiply-adds instead of a GEMM), or, for strided dense convs and
-  small batches, an im2col patch gather (see :class:`ConvStep`);
+  domain.  At stride 1 the GEMM reads one strided tap view of a
+  zero-bordered channel-major buffer at every batch size (a 1x1 conv reads
+  the activation itself, and a large depthwise conv is k*k multiply-adds
+  instead of a GEMM); strided dense convs and small depthwise ones use an
+  im2col patch gather (see :class:`ConvStep`);
 * a linear layer keeps its integer matrix and applies the per-feature
   output affine (dequantization, folded BN) to the GEMM output;
 * a layer whose artifact record carries a frozen activation range
@@ -37,7 +38,7 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from repro.autograd.ops import _SMALL_GATHER_ELEMENTS, im2col
+from repro.autograd.ops import im2col
 from repro.deploy.artifact import QuantizedTensorRecord
 from repro.nn.module import Module
 from repro.quant.act_quant import RANGE_FLOOR
@@ -181,10 +182,11 @@ class FloatGemmKernel(GemmKernel):
 class GroupedGemmKernel(GemmKernel):
     """One stacked GEMM for a grouped convolution.
 
-    This runs true grouped convs, and depthwise convs on the im2col path
-    (small batches; larger ones are :class:`ConvStep`'s k*k multiply-adds).
-    Both of ConvStep's gathers order their rows with the input channel
-    outermost, so group ``g``'s reduction rows form the contiguous block
+    This runs true grouped convs (on the tap view at stride 1, im2col
+    otherwise), and depthwise convs on the im2col path (small problems;
+    larger ones are :class:`ConvStep`'s k*k multiply-adds).  Both of
+    ConvStep's gathers order their rows with the input channel outermost,
+    so group ``g``'s reduction rows form the contiguous block
     ``[g*rows_g, (g+1)*rows_g)`` of the column matrix and its output
     channels the contiguous block ``[g*cout_g, (g+1)*cout_g)`` of the
     output — a grouped convolution is one ``np.matmul`` of the
@@ -246,14 +248,17 @@ def _record_kernel(
 # ---------------------------------------------------------------------------
 
 
-# ConvStep's shape rule, measured per conv kind at batch 1-64 (PERFORMANCE.md).
-# A stride-1 conv reads a padded buffer once its im2col gather would exceed
-# ``_SMALL_GATHER_ELEMENTS`` entries (below that the float stem conv is
-# faster on im2col).  A depthwise conv, at any stride, does once it would
-# exceed this many: below that its k*k elementwise passes cost more than
-# im2col plus one stacked GEMM.  Strided dense and 1x1 convs measured slower
-# on the buffer's phase split at every batch size, so they keep im2col.
+# ConvStep's shape rule, measured per conv kind (PERFORMANCE.md).  A stride-1
+# dense, 1x1 or grouped conv always reads the padded buffer's tap view: at
+# batch 1-512 it beat im2col on every dense conv measured and on all but one
+# 1x1 cell, and grouped convs share its gather.  A depthwise conv, at any
+# stride, reads the buffer once its im2col gather would exceed this many
+# entries: below that its k*k elementwise passes cost more than im2col plus
+# one stacked GEMM.  Strided dense and 1x1 convs measured slower on the
+# buffer's phase split at every batch size, so they keep im2col.
 _DEPTHWISE_TAPS_MIN_ELEMENTS = 3 << 16
+
+_F32_BYTES = np.dtype(np.float32).itemsize
 
 
 class Step:
@@ -284,27 +289,27 @@ class ConvStep(Step):
     The step reads its input one of two ways, chosen by shape alone (never
     by an option):
 
-    * **padded buffer** (a gather above the shape rule's crossover, in
-      im2col column-matrix entries, for stride-1 and depthwise convs): the
-      input is copied once into a zero-bordered channel-major buffer of
+    * **padded buffer** (every stride-1 dense, 1x1 or grouped conv, and
+      depthwise convs above the shape rule's crossover, in im2col
+      column-matrix entries): the input is copied once into the interior
+      view of a zero-bordered channel-major buffer of
       ``(N, Hq, Wq)`` grids per channel and, for an ``act_quant`` layer,
       quantized there in place.  Neighbouring images and rows share their
       zero border, so ``Hq = H + pad`` and ``Wq = W + pad`` for a
       ``k = 2*pad + 1`` conv.  Output ``(n, i, j)`` of tap ``(di, dj)``
       reads flat position ``q + di*Wq + dj`` with ``q = (n*Hq + i)*Wq + j``,
-      so every tap is one contiguous ``(C, N*Hq*Wq)`` block of the flat
-      buffer, and an output is computed at every grid position; the affine
-      then reads the valid ones through a crop view.  (A stride-``s``
-      buffer holds the ``s*s`` phases of the padded image, every ``s``-th
-      row and column, each with its own full border; each tap is then a
-      stride-1 tap of one phase.)  A dense conv stacks
-      the ``k*k`` blocks in im2col's ``(c, di, dj)`` row order for one
-      GEMM; a 1x1 conv's GEMM reads the buffer itself, with no gather; a
-      depthwise conv (``groups == C == Cout``) is ``k*k`` multiply-adds of
-      the blocks, with no GEMM;
-    * **im2col** (strided dense convs, and problems small enough that the
-      buffer's extra passes cost more than the patch copy they save —
-      batch-1 and batch-2 serving): the patch gather, then the kernel's
+      so all taps of all channels form one strided ``(C, k, k, N*Hq*Wq)``
+      view of the flat buffer, and an output is computed at every grid
+      position; the affine then reads the valid ones through a crop view.
+      A dense or grouped conv reshapes the tap view to im2col's
+      ``(c, di, dj)`` row order — one copy — for one GEMM; for a 1x1 conv
+      that reshape is the buffer itself, with no copy.  A depthwise conv
+      (``groups == C == Cout``) is ``k*k`` multiply-adds of the taps, with
+      no GEMM; at stride ``s`` its buffer holds the ``s*s`` phases of the
+      padded image, every ``s``-th row and column, each with its own full
+      border, and each tap is a stride-1 tap of one phase;
+    * **im2col** (strided dense, 1x1 and grouped convs, and depthwise
+      convs below the crossover): the patch gather, then the kernel's
       GEMM.
 
     Both ways feed every kept output the same products, so plans whose
@@ -366,14 +371,16 @@ class ConvStep(Step):
         k, stride, pad = self.kernel_size, self.stride, self.padding
         out_h = (height + 2 * pad - k) // stride + 1
         out_w = (width + 2 * pad - k) // stride + 1
-        crossover = _DEPTHWISE_TAPS_MIN_ELEMENTS if self.depthwise else _SMALL_GATHER_ELEMENTS
-        if (stride == 1 or self.depthwise) and (
-            channels * k * k * batch * out_h * out_w > crossover
-        ):
+        if self.depthwise:
+            buffered = channels * k * k * batch * out_h * out_w > _DEPTHWISE_TAPS_MIN_ELEMENTS
+        else:
+            buffered = stride == 1
+        if buffered:
             # The affine reads the valid outputs through a crop view and
             # writes them compactly.
-            grid = self._from_buffer(x)[:, :, :out_h, :out_w]
-            out = np.multiply(grid, self.mult[:, :, None, None]).reshape(self.out_channels, -1)
+            out = np.multiply(
+                self._from_buffer(x, out_h, out_w), self.mult[:, :, None, None]
+            ).reshape(self.out_channels, -1)
         else:
             if self.act_quant is not None:
                 x = self.act_quant.quantize(x)
@@ -386,11 +393,11 @@ class ConvStep(Step):
             np.maximum(out, 0.0, out=out)
         return out.reshape(self.out_channels, batch, out_h, out_w).transpose(1, 0, 2, 3)
 
-    def _from_buffer(self, x: np.ndarray) -> np.ndarray:
+    def _from_buffer(self, x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
         """The conv read from a padded channel-major buffer.
 
-        Returns ``(Cout, N, grid_h, grid_w)``: an output at every position
-        of the (phase) grid, the valid ones in its top-left corner.
+        Returns the ``(Cout, N, out_h, out_w)`` crop view of an output
+        computed at every position of the (phase) grid.
         """
         batch, channels, height, width = x.shape
         k, s, pad = self.kernel_size, self.stride, self.padding
@@ -400,29 +407,36 @@ class ConvStep(Step):
             # zeros hold the first image's top and left border.
             gap = max(pad, 2 * pad - k + 1)
             grid_h, grid_w = height + gap, width + gap
-            lead = pad * grid_w + pad
+            lead = pad * (grid_w + 1)
         else:
             # Stride s splits the padded image into s*s phases (every s-th
             # row and column); tap (di, dj) reads phase (di % s, dj % s)
             # shifted by (di // s, dj // s), a stride-1 tap of that phase.
             grid_h, grid_w = -(-(height + 2 * pad) // s), -(-(width + 2 * pad) // s)
             lead = 0
-        size = lead + batch * grid_h * grid_w
-        # The buffer runs ``reach`` zeros past its last phase, so every tap
-        # is a contiguous ``(C, size)`` block of it.  A tap crossing into the
-        # next channel or phase only feeds border positions the crop drops.
-        reach = (k - 1) // s * (grid_w + 1)
+        positions = batch * grid_h * grid_w
+        block = lead + positions  # one channel of one phase
+        # The views below are ``np.ndarray`` over a flat float32 array, with
+        # offsets and strides in bytes; the constructor checks that each
+        # view stays inside its base.
+        f = _F32_BYTES
+        grid = (f * grid_h * grid_w, f * grid_w, f)  # image, row and column strides
+        # Tap (di, dj) reads ``positions`` elements from ``di*grid_w + dj``
+        # past its channel's block start; the buffer runs ``reach`` zeros
+        # past its last block so the last channel's taps fit.  A tap crossing
+        # into the next channel or phase only feeds positions the crop drops.
+        reach = max((k - 1) // s * (grid_w + 1) - lead, 0)
         xt = x.transpose(1, 0, 2, 3)
         if k == s == 1 and pad == 0 and self.act_quant is None:
             # No copy when ``x`` is the channel-major output of a conv step.
             buf = np.ascontiguousarray(xt).reshape(-1)
         else:
-            buf = np.zeros(s * s * channels * size + reach, dtype=np.float32)
-            phases = buf[:s * s * channels * size].reshape(s, s, channels, size)[..., lead:]
-            phases = phases.reshape(s, s, channels, batch, grid_h, grid_w)
+            buf = np.zeros(s * s * channels * block + reach, dtype=np.float32)
             if s == 1:
-                phases[0, 0, :, :, :height, :width] = xt
+                np.copyto(np.ndarray(xt.shape, np.float32, buf, f * lead, (f * block,) + grid), xt)
             else:
+                phases = buf[:s * s * channels * block]
+                phases = phases.reshape(s, s, channels, batch, grid_h, grid_w)
                 for a in range(s):
                     row = (a - pad) % s  # first input row in phase a
                     for b in range(s):
@@ -430,36 +444,31 @@ class ConvStep(Step):
                         src = xt[:, :, row::s, col::s]
                         top, left = (row + pad - a) // s, (col + pad - b) // s
                         phases[a, b, :, :, top:top + src.shape[2], left:left + src.shape[3]] = src
+            # Quantizing the contiguous buffer in place beats strided passes
+            # over its interior; a zero border maps to code 0.
             if self.act_quant is not None:
                 self.act_quant.quantize(buf, out=buf)
-        block = channels * size
-        taps = [
-            buf[start:start + block].reshape(channels, size)
-            for start in (
-                ((di % s) * s + dj % s) * block + di // s * grid_w + dj // s
-                for di in range(k)
-                for dj in range(k)
-            )
-        ]
         if self.depthwise:
             # k*k multiply-adds summed from +0.0, as a BLAS dot product is:
             # a window of zero codes then gives +0.0, never -0.0.
-            out = np.zeros((channels, size), dtype=np.float32)
+            out = np.zeros((channels, positions), dtype=np.float32)
             product = np.empty_like(out)
-            for t, tap in enumerate(taps):
+            for t in range(k * k):
+                di, dj = divmod(t, k)
+                start = ((di % s) * s + dj % s) * channels * block + di // s * grid_w + dj // s
+                tap = np.ndarray((channels, positions), np.float32, buf, f * start, (f * block, f))
                 np.multiply(tap, self.w_mat[:, t:t + 1], out=product)
                 out += product
         else:
-            if k == 1:
-                cols = taps[0]
-            else:
-                cols = np.empty((channels, k * k, size), dtype=np.float32)
-                for t, tap in enumerate(taps):
-                    np.copyto(cols[:, t], tap)
-                cols = cols.reshape(channels * k * k, size)
-            out = np.empty((self.out_channels, size), dtype=np.float32)
-            self.kernel.conv(cols, out)
-        return out[:, :batch * grid_h * grid_w].reshape(self.out_channels, batch, grid_h, grid_w)
+            # Every tap of every channel, in im2col's (c, di, dj) row order:
+            # the reshape is the one copy that feeds the GEMM (none for 1x1).
+            taps = np.ndarray(
+                (channels, k, k, positions), np.float32, buf, 0, (f * block, f * grid_w, f, f)
+            )
+            out = np.empty((self.out_channels, positions), dtype=np.float32)
+            self.kernel.conv(taps.reshape(channels * k * k, positions), out)
+        crop = (len(out), batch, out_h, out_w)
+        return np.ndarray(crop, np.float32, out, 0, (f * positions,) + grid)
 
     def describe(self) -> str:
         tail = f"+{self.act_quant.describe()}" if self.act_quant is not None else ""

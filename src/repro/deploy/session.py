@@ -5,10 +5,10 @@ layer plan (see :mod:`repro.deploy.plan`).  ``run`` takes an NCHW (or NF)
 float32 batch and returns logits; nothing on the hot path allocates a
 ``Tensor``, records a graph node, or touches the training stack — the only
 per-layer work is (for activation-quantized layers) the snap of the input
-onto its integer grid, the conv's input gather (shifted slices of a padded
-channel-major buffer, or im2col for strided dense convs and small
-batches), one GEMM against the integer weight matrix, and the folded
-output affine.
+onto its integer grid, the conv's input gather (one strided tap view of a
+padded channel-major buffer for stride-1 convs at every batch size, or
+im2col for strided dense convs and small depthwise ones), one GEMM against
+the integer weight matrix, and the folded output affine.
 
 Artifacts whose manifest carries frozen activation clip ranges
 (``act_bits < 32``, format version >= 2) compile to the integer-activation

@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 
 from repro import nn
+from repro.autograd import ops
 from repro.autograd.tensor import Tensor, no_grad
 from repro.baselines.bsq import bsq_layers
 from repro.csq.precision import csq_layers
@@ -180,9 +181,10 @@ def _conv_reference(conv, x):
 def _draw_conv(rng, groups, large):
     """A random conv geometry with ``groups`` (0 draws depthwise).
 
-    ``large`` draws the smallest batch whose gather is above the buffer
-    path's crossover, so the trial sits right at the shape rule's edge;
-    otherwise the batch is 1-3.
+    ``large`` draws, for a depthwise conv, the smallest batch whose gather
+    is above the buffer path's crossover, so the trial sits right at the
+    shape rule's edge; otherwise the batch is 1-3.  Other kinds have no
+    crossover: their stride alone picks the path.
     """
     multiplier = int(rng.integers(1, 4))
     if groups == 0:
@@ -195,17 +197,10 @@ def _draw_conv(rng, groups, large):
     padding = int(rng.integers(0, 2)) if kernel > 1 else 0
     size = int(rng.integers(kernel + 1, 15))
     batch = int(rng.integers(1, 4))
-    if large:
+    if large and groups == cin == cout > 1:
         per_image = _gathered(cin, kernel, stride, padding, size, 1)
-        batch = _crossover(groups, cin, cout) // per_image + 1
+        batch = plan._DEPTHWISE_TAPS_MIN_ELEMENTS // per_image + 1
     return groups, cin, cout, kernel, stride, padding, size, batch
-
-
-def _crossover(groups, cin, cout):
-    """The gather size above which a stride-1 conv reads a padded buffer."""
-    if groups == cin == cout > 1:
-        return plan._DEPTHWISE_TAPS_MIN_ELEMENTS
-    return plan._SMALL_GATHER_ELEMENTS
 
 
 def _gathered(cin, kernel, stride, padding, size, batch):
@@ -214,10 +209,53 @@ def _gathered(cin, kernel, stride, padding, size, batch):
 
 
 def _takes_buffer_path(groups, cin, cout, kernel, stride, padding, size, batch):
-    depthwise = groups == cin == cout > 1
-    return (stride == 1 or depthwise) and (
-        _gathered(cin, kernel, stride, padding, size, batch) > _crossover(groups, cin, cout)
-    )
+    """The shape rule: a depthwise conv reads the padded buffer above its
+    crossover, at any stride; every other conv does exactly at stride 1."""
+    if groups == cin == cout > 1:
+        gathered = _gathered(cin, kernel, stride, padding, size, batch)
+        return gathered > plan._DEPTHWISE_TAPS_MIN_ELEMENTS
+    return stride == 1
+
+
+def _call_recording_path(step, x):
+    """``step(x)``, and whether the call read the padded buffer (no im2col)."""
+    gathers = []
+
+    def recording_im2col(*args):
+        gathers.append(args)
+        return ops.im2col(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(plan, "im2col", recording_im2col)
+        out = step(x)
+    return out, not gathers
+
+
+def _exact_conv_reference(step, x):
+    """An integer-code ``ConvStep`` computed independently of its gathers.
+
+    ``ops.im2col`` of the activation codes and an int64 ``np.matmul`` of
+    the integer weight codes per group give the exact accumulators; the
+    step's float32 affine then runs as the step runs it.
+    """
+    k, stride, pad, groups = step.kernel_size, step.stride, step.padding, step.groups
+    batch, _, height, width = x.shape
+    out_h = (height + 2 * pad - k) // stride + 1
+    out_w = (width + 2 * pad - k) // stride + 1
+    codes = x if step.act_quant is None else step.act_quant.quantize(x)
+    cols = ops.im2col(codes, k, k, stride, pad)
+    assert np.array_equal(cols, np.rint(cols)) and np.array_equal(step.w_mat, np.rint(step.w_mat))
+    weights = step.w_mat.astype(np.int64)
+    acc = np.matmul(
+        weights.reshape(groups, -1, weights.shape[1]),
+        cols.astype(np.int64).reshape(groups, -1, cols.shape[1]),
+    ).reshape(len(weights), -1)
+    out = acc.astype(np.float32) * step.mult
+    if step.shift is not None:
+        out += step.shift
+    if step.relu:
+        np.maximum(out, 0.0, out=out)
+    return out.reshape(len(weights), batch, out_h, out_w).transpose(1, 0, 2, 3)
 
 
 def test_grouped_conv_step_matches_eval_graph_randomized():
@@ -225,25 +263,20 @@ def test_grouped_conv_step_matches_eval_graph_randomized():
 
     Draws cover depthwise (groups == channels), grouped and dense convs with
     odd spatial sizes, strides, paddings and 1x1/3x3 kernels, at batch sizes
-    that land on both sides of the buffer path's shape rule.  The packing
-    claim under test is that both paths' channel-outermost row order makes
-    each group's reduction rows and output channels contiguous blocks.
+    that land on both sides of the depthwise crossover.  The packing claim
+    under test is that both paths' channel-outermost row order makes each
+    group's reduction rows and output channels contiguous blocks.
     """
     rng = np.random.default_rng(2024)
-    #: (kind, path) pairs drawn; every kind must land on both paths.
+    #: (kind, stride, path) drawn, the path as the step took it.
     drawn = set()
-    depthwise_path_strides = set()
     for trial in range(2 * _TRIALS):
         groups, cin, cout, kernel, stride, padding, size, batch = _draw_conv(
             rng, trial % 5, large=trial % 2 == 1
         )
         bias = bool(rng.integers(0, 2))
-        buffered = _takes_buffer_path(groups, cin, cout, kernel, stride, padding, size, batch)
         depthwise = groups == cin == cout and groups > 1
         kind = "depthwise" if depthwise else "grouped" if groups > 1 else "dense"
-        drawn.add((kind, buffered))
-        if depthwise:
-            depthwise_path_strides.add((stride, buffered))
 
         conv = nn.Conv2d(cin, cout, kernel, stride=stride, padding=padding,
                          bias=bias, groups=groups)
@@ -267,12 +300,19 @@ def test_grouped_conv_step_matches_eval_graph_randomized():
             assert isinstance(step.kernel, GroupedGemmKernel)
             assert f"+g{groups}" in step.describe()
         x = rng.standard_normal((batch, cin, size, size)).astype(np.float32)
-        np.testing.assert_allclose(
-            step(x), _conv_reference(conv, x), atol=1e-5, rtol=1e-5
-        )
-    assert drawn == {(kind, path) for kind in ("dense", "grouped", "depthwise")
-                     for path in (False, True)}
-    assert depthwise_path_strides == {(1, True), (1, False), (2, True), (2, False)}
+        got, buffered = _call_recording_path(step, x)
+        assert buffered == _takes_buffer_path(
+            groups, cin, cout, kernel, stride, padding, size, batch
+        ), f"trial {trial}"
+        drawn.add((kind, stride, buffered))
+        np.testing.assert_allclose(got, _conv_reference(conv, x), atol=1e-5, rtol=1e-5)
+    # Stride-1 dense and grouped convs on the buffer, strided ones on
+    # im2col, and depthwise convs on both paths at both strides.
+    assert drawn == {
+        ("dense", 1, True), ("dense", 2, False),
+        ("grouped", 1, True), ("grouped", 2, False),
+        *(("depthwise", stride, path) for stride in (1, 2) for path in (False, True)),
+    }
 
 
 def _bits(values):
@@ -280,12 +320,12 @@ def _bits(values):
 
 
 def test_buffer_conv_is_bitwise_equal_to_im2col_on_integer_codes():
-    """Integer weights against quantized activations: the padded buffer and
-    im2col feed the same exact integer products, so the served bits match.
+    """Integer weights against quantized activations: the padded buffer
+    feeds the exact integer products im2col does, so the served bits match.
 
     Every trial is a stride-1 dense or grouped conv, or a depthwise conv at
-    stride 1 or 2, above the shape rule's crossover; the reference is the
-    same step with the crossovers raised so that it gathers with im2col.
+    stride 1 or 2 above its crossover; the reference is
+    :func:`_exact_conv_reference` (im2col and an int64 matmul).
     """
     rng = np.random.default_rng(77)
     kinds = set()
@@ -322,15 +362,72 @@ def test_buffer_conv_is_bitwise_equal_to_im2col_on_integer_codes():
         # channel-major view, with negatives the quantizer clips.
         x = rng.standard_normal((cin, batch, size, size)).astype(np.float32)
         x = x.transpose(1, 0, 2, 3)
-        buffered = step(x)
-        with pytest.MonkeyPatch.context() as patch:
-            for crossover in ("_SMALL_GATHER_ELEMENTS", "_DEPTHWISE_TAPS_MIN_ELEMENTS"):
-                patch.setattr(plan, crossover, np.iinfo(np.int64).max)
-            reference = step(x)
-        np.testing.assert_array_equal(_bits(buffered), _bits(reference), err_msg=f"trial {trial}")
+        got, buffered = _call_recording_path(step, x)
+        assert buffered, f"trial {trial}"
+        reference = _exact_conv_reference(step, x)
+        np.testing.assert_array_equal(_bits(got), _bits(reference), err_msg=f"trial {trial}")
     assert {kind for kind, _, _ in kinds} == {0, 1, 2}
     assert {kernel for _, kernel, _ in kinds} == {1, 3}
     assert {stride for kind, _, stride in kinds if kind == 0} == {1, 2}
+
+
+#: Every stride-1 ``(kernel, padding)`` the tap view must handle: padding
+#: 0 to k-1, plus a 1x1 conv with padding.
+_TAP_GEOMETRIES = [(k, p) for k in (1, 3, 5) for p in range(k)] + [(1, 1)]
+
+
+@pytest.mark.parametrize("mode", ["float", "observer", "pact"])
+def test_stride1_tap_view_edge_geometries(mode):
+    """Stride-1 dense and grouped ConvSteps at the tap view's edges.
+
+    Every kernel and padding above, inputs from the smallest that gives an
+    output (down to 1x1) up to k+2, batch 1-3.  Served logits match the
+    eval graph within 1e-5, and on integer codes they equal the exact
+    im2col reference bit for bit.
+    """
+    rng = np.random.default_rng(["float", "observer", "pact"].index(mode))
+    trials = 0
+    for kernel, padding in _TAP_GEOMETRIES:
+        for size in range(max(1, kernel - 2 * padding), kernel + 3):
+            batch = int(rng.integers(1, 4))
+            groups = int(rng.choice([1, 2]))
+            cin, cout = groups * int(rng.integers(1, 3)), groups * int(rng.integers(1, 3))
+            if groups == cin == cout:
+                cout += groups  # not depthwise: that kind keeps its crossover
+            spec = None if mode == "float" else ActQuantSpec(
+                int(rng.choice([2, 4, 8])), mode, float(rng.uniform(0.5, 3.0))
+            )
+            codes = rng.integers(-7, 8, size=(cout, cin // groups, kernel, kernel))
+            codes = codes.astype(np.float32)
+            w_scale = rng.uniform(0.01, 0.1, size=cout).astype(np.float32)
+            bias = rng.standard_normal(cout).astype(np.float32)
+            relu = bool(rng.integers(0, 2))
+            act_scale = np.float32(1.0 if spec is None else spec.scale)
+            step = ConvStep(
+                "edge", codes.reshape(cout, -1), w_scale * act_scale, bias,
+                kernel_size=kernel, stride=1, padding=padding, relu=relu,
+                act_quant=spec, groups=groups,
+            )
+            conv = nn.Conv2d(cin, cout, kernel, padding=padding, groups=groups)
+            conv.weight.data = codes * w_scale[:, None, None, None]
+            conv.bias.data = bias
+            conv.eval()
+            x = rng.standard_normal((batch, cin, size, size)).astype(np.float32)
+            got, buffered = _call_recording_path(step, x)
+            assert buffered
+            want = _conv_reference(conv, x if spec is None else spec.dequantize(spec.quantize(x)))
+            if relu:
+                want = np.maximum(want, 0.0)
+            err = f"k={kernel} pad={padding} size={size} batch={batch} groups={groups}"
+            np.testing.assert_allclose(got, want, atol=1e-5, rtol=1e-5, err_msg=err)
+            # Integer codes: quantized inputs as they are, float inputs
+            # rounded onto integers (negatives included).
+            codes_in = x if spec is not None else np.rint(4 * x)
+            np.testing.assert_array_equal(
+                _bits(step(codes_in)), _bits(_exact_conv_reference(step, codes_in)), err_msg=err
+            )
+            trials += 1
+    assert trials > 40
 
 
 def test_grouped_kernel_rejects_indivisible_geometry():

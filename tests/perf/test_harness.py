@@ -96,3 +96,24 @@ class TestPerfCompare:
         cand = self._doc("cand", {("ops", "a"): 0.0012})
         proc = self._run_compare(tmp_path, base, cand, "--fail-threshold", "1.5")
         assert proc.returncode == 0
+
+    def test_names_every_environment_field_that_differs(self, tmp_path):
+        base = self._doc("base", {("ops", "a"): 0.001})
+        cand = self._doc("cand", {("ops", "a"): 0.001})
+        base["environment"] = {"cpu_count": 1, "numpy": "2.4.6", "repro_arena": "unset"}
+        cand["environment"] = {"cpu_count": 2, "numpy": "2.4.6", "blas_threads": 1}
+        proc = self._run_compare(tmp_path, base, cand, "--fail-threshold", "1.5")
+        assert proc.returncode == 0
+        lines = [line for line in proc.stdout.splitlines() if line.startswith("environment")]
+        assert lines == [
+            "environment differs: blas_threads (candidate only), cpu_count (1 vs 2), "
+            "repro_arena (base only)"
+        ]
+
+    def test_matching_environments_print_no_mismatch_line(self, tmp_path):
+        base = self._doc("base", {("ops", "a"): 0.001})
+        cand = self._doc("cand", {("ops", "a"): 0.001})
+        base["environment"] = cand["environment"] = {"cpu_count": 2}
+        proc = self._run_compare(tmp_path, base, cand)
+        assert proc.returncode == 0
+        assert "environment" not in proc.stdout

@@ -73,16 +73,17 @@ class TestSteadyState:
         assert _retained_bytes(step) <= _SLACK_BYTES
 
     @pytest.mark.parametrize(
-        "batch, size, buffered",
-        [(16, 10, True), (1, 32, False)],
+        "batch, size, index, buffered",
+        [(16, 10, 0, True), (1, 32, 1, False)],
         ids=["padded-buffer", "im2col"],
     )
-    def test_inference_session_runs_warm(self, batch, size, buffered):
+    def test_inference_session_runs_warm(self, batch, size, index, buffered):
         """A compiled plan keeps nothing between calls, from its first call on.
 
-        Batch 16 puts the first conv on the padded-buffer path, batch 1 on
-        im2col: both sides of the shape rule are held to the contract.
+        The first conv (stride 1) reads the padded buffer and the second
+        (stride 2) gathers with im2col: both paths are held to the contract.
         """
+        from repro.autograd import ops
         from repro.deploy import InferenceSession, save_artifact
         from repro.deploy import plan
         from repro.deploy.testing import frozen_mixed_model
@@ -95,17 +96,28 @@ class TestSteadyState:
             session = InferenceSession(path)
         images = np.random.default_rng(0).standard_normal((batch, 3, size, size))
         images = images.astype(np.float32)
-        first_conv = next(step for step in session.plan if hasattr(step, "kernel"))
-        # The first conv is stride 1 with 3x3 padding 1: its gather holds
-        # 27 * batch * size**2 elements, which decides its path.
-        gathered = 27 * batch * size * size
-        assert (gathered > plan._SMALL_GATHER_ELEMENTS) == buffered
-        # Its gathered columns are far above the slack, so any buffer a
-        # step kept from a call would show.
-        assert gathered * 4 > 2 * _SLACK_BYTES
         # The returned logits are the caller's; drop them inside the call.
         # No warm-up: the baseline is taken before the session's first run.
         assert _retained_bytes(lambda: session.run(images), warmup=0) <= _SLACK_BYTES
+
+        conv = [step for step in session.plan if isinstance(step, plan.ConvStep)][index]
+        # Both convs are 3x3 with padding 1, and the first keeps the image
+        # size, so the conv's input is (batch, cin, size, size).
+        cin = conv.w_mat.shape[1] // 9
+        gathers = []
+
+        def recording_im2col(x, *args):
+            gathers.append(x.shape)
+            return ops.im2col(x, *args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(plan, "im2col", recording_im2col)
+            session.run(images)
+        assert ((batch, cin, size, size) not in gathers) == buffered
+        # The conv's gathered columns are far above the slack, so any buffer
+        # a step kept from a call would have shown.
+        out = (size - 1) // conv.stride + 1
+        assert cin * 9 * batch * out * out * 4 > 2 * _SLACK_BYTES
 
 
 class TestReleasedStateGuards:
