@@ -13,7 +13,11 @@ scheme sweep additionally exports and serves one artifact per quantization
 scheme (``KNOWN_SCHEMES``: CSQ plus every baseline quantizer) with
 served-vs-session parity, and a mixed-shape leg interleaves 12x12 and 16x16
 requests, which must still coalesce into one forward pass per input shape.
-Exits non-zero on any mismatch.
+Three chaos legs inject seeded faults (crash, poison, stall, bit flip):
+crash recovery must be bitwise, shedding and expiry exact on a
+deterministic schedule, and under open-loop load every typed error a
+client sees must match the server's counters.  Exits non-zero on any
+mismatch.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from repro.deploy import (  # noqa: E402
     InferenceSession,
     RequestQuarantined,
     Server,
+    ServerError,
     ServerOverloaded,
     load_artifact,
     save_artifact,
@@ -154,6 +159,63 @@ def chaos_deterministic_leg(session: InferenceSession) -> str:
             f"chaos(det): {calls_delta} forward passes after the stall, expected 1 "
             f"— an expired request consumed GEMM time"
         )
+    return ""
+
+
+def chaos_open_loop_leg(session: InferenceSession) -> str:
+    """Seeded faults under open-loop load: typed errors match server counters.
+
+    Poisson arrivals at 80 req/s for 0.6 s against a micro-batching server
+    (``max_batch`` 8, ``queue_limit`` 4, 400 ms deadlines, cache off) with a
+    persistent poison at admission 2, a worker crash at 12 and a 600 ms
+    stall at 20.  The fault indices are spaced so the poison, crash and
+    stall batches never coalesce, and the first two land before the stall
+    so their requests cannot expire first.  Exact shed and expiry counts
+    depend on arrival timing, so the leg asserts what does not: exactly one
+    request quarantined, at least one restart, shed and expiry, and every
+    ``ServerOverloaded`` / ``DeadlineExceeded`` / ``RequestQuarantined`` the
+    client saw equals the server's ``rejected`` / ``expired`` /
+    ``quarantined`` count.  Returns an error string, or "" on success.
+    """
+    rng = np.random.default_rng(0)
+    arrivals = np.cumsum(rng.exponential(1.0 / 80.0, size=96))
+    arrivals = arrivals[arrivals < 0.6]
+    plan = FaultPlan(seed=0).poison_at(2).crash_at(12).slow_at(20, ms=600.0)
+    tally = {ServerOverloaded: 0, DeadlineExceeded: 0, RequestQuarantined: 0}
+    futures = []
+    server = Server(session, max_batch=8, max_wait_ms=1.0, cache_size=0,
+                    queue_limit=4, default_deadline_ms=400.0, faults=plan)
+    with server:
+        start = time.perf_counter()
+        for offset in arrivals:
+            delay = offset - (time.perf_counter() - start)
+            if delay > 0:
+                time.sleep(delay)
+            x = rng.standard_normal((3, 10, 10)).astype(np.float32)
+            try:
+                futures.append(server.submit(x))
+            except ServerError as error:  # shed at admission
+                tally[type(error)] = tally.get(type(error), 0) + 1
+        for future in futures:
+            try:
+                future.result(timeout=30.0)
+            except ServerError as error:
+                tally[type(error)] = tally.get(type(error), 0) + 1
+        stats = server.stats.snapshot()
+    for error, key in ((ServerOverloaded, "rejected"), (DeadlineExceeded, "expired"),
+                       (RequestQuarantined, "quarantined")):
+        if tally[error] != stats[key]:
+            return (f"chaos(open loop): client saw {tally[error]} {error.__name__} "
+                    f"but the server counted {key}={stats[key]:.0f}")
+    if stats["quarantined"] != 1:
+        return f"chaos(open loop): {stats['quarantined']:.0f} quarantined, expected exactly 1"
+    for key in ("restarts", "rejected", "expired"):
+        if stats[key] < 1:
+            return f"chaos(open loop): no {key} under the injected crash and stall"
+    other = {e.__name__: n for e, n in tally.items() if e not in
+             (ServerOverloaded, DeadlineExceeded, RequestQuarantined)}
+    if other:
+        return f"chaos(open loop): unexpected errors {other}"
     return ""
 
 
@@ -278,7 +340,7 @@ def main() -> int:
         save_artifact(chaos_model, path, arch="simple_convnet",
                       arch_kwargs={"num_classes": 10, "width": 8})
         chaos_session = InferenceSession(load_artifact(path))
-        for leg in (chaos_env_leg, chaos_deterministic_leg):
+        for leg in (chaos_env_leg, chaos_deterministic_leg, chaos_open_loop_leg):
             failure = leg(chaos_session)
             if failure:
                 print(f"serve smoke FAILED: {failure}")
@@ -392,7 +454,8 @@ def main() -> int:
         f"kernels {'/'.join(sorted(span_tags))}; schemes: "
         f"{len(KNOWN_SCHEMES)} quantizers served; mixed 12/16 shapes "
         f"coalesced per shape; chaos: crash recovered "
-        f"bitwise, poison quarantined, 5 shed / 3 expired exactly"
+        f"bitwise, poison quarantined, 5 shed / 3 expired exactly, open-loop "
+        f"typed errors match server counters"
     )
     return 0
 

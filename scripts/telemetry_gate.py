@@ -6,9 +6,8 @@ serving with ``REPRO_TELEMETRY=1`` (spans + histogram stats, no sink) must
 stay within ``--threshold`` of serving with telemetry off.  (The "zero-cost
 when disabled" half is pinned bitwise by tests/obs/test_disabled_overhead.py.)
 
-Why not two ``benchmarks.perf.run`` processes compared by perf_compare?
-This host's wall-clock drifts more than 5% *between processes run
-back-to-back* — an identical-code control case measured 7–10% apart on
+Why not one process per mode, compared afterwards?  A shared host's
+wall-clock drifts more than 5% *between processes run back-to-back* — an identical-code control case measured 7–10% apart on
 min-of-15 samples, so any two-process comparison at a 5% threshold is a
 coin flip.  This gate instead **interleaves off/on samples within one
 process** (off, on, off, on, …): both modes sample the same host
@@ -28,7 +27,7 @@ Cases:
   is the case that guards the per-batch telemetry tax.  Gated.
 - ``server_single_stream`` — zero-wait per-request round trips.  Its
   time is dominated by a cross-thread future wake whose scheduling
-  latency swings >10% between runs on this 1-core host even when
+  latency swings >10% between runs on a shared host even when
   interleaved, beyond any useful threshold — **reported, not gated**.
   Its telemetry code path is the same one the burst case gates.
 

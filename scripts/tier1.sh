@@ -10,9 +10,12 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 python -m pytest tests -q "$@"
 
 # Serve smoke: artifact -> session -> server round trip (seconds, no
-# training), including two deterministic chaos legs (REPRO_FAULTS env knob
-# and a programmatic FaultPlan) that pin crash-restart bitwise parity,
-# poison quarantine, and exact shed/expiry counts.
+# training), including three chaos legs: two deterministic ones
+# (REPRO_FAULTS env knob and a programmatic FaultPlan) that pin
+# crash-restart bitwise parity, poison quarantine, and exact shed/expiry
+# counts, and a seeded open-loop one (poison, crash and stall under Poisson
+# arrivals) whose client-side ServerOverloaded / DeadlineExceeded /
+# RequestQuarantined tallies must equal the server's counters.
 python scripts/serve_smoke.py
 
 # Train-resume smoke: crash-safe training round trip (seconds, quick
@@ -22,13 +25,3 @@ python scripts/serve_smoke.py
 # uninterrupted run; a corrupt-checkpoint leg must skip the torn file
 # with a telemetry warning and fall back to the previous valid one.
 python scripts/train_resume_smoke.py
-
-# Load-generator smoke: one tiny open-loop sweep + soak against a packed
-# resnet20, with the built-in self-check (report parses, percentiles
-# monotone, provenance manifest complete), plus a seeded --chaos phase
-# whose self-check cross-validates client-observed typed errors against
-# the server's shed/expired/restart/quarantine counters.  See
-# OBSERVABILITY.md and DEPLOYMENT.md ("Resilience").
-LOADGEN_OUT="$(mktemp -d /tmp/loadgen_smoke.XXXXXX)"
-trap 'rm -rf "$LOADGEN_OUT"' EXIT
-python scripts/loadgen.py --smoke --chaos --out "$LOADGEN_OUT"

@@ -9,8 +9,8 @@ in the order the server admitted it to the queue (cache hits and shed
 requests consume no index, so a plan targets exactly the requests that
 reach compute).  Every failure path of the resilience layer — restart,
 retry, quarantine, shed, deadline expiry — can therefore be exercised by
-tests and by ``scripts/loadgen.py --chaos`` with the same failures at the
-same requests on every run.
+tests and by the chaos legs of ``scripts/serve_smoke.py`` with the same
+failures at the same requests on every run.
 
 The training tier consumes the same plan with its own index space: for
 ``preempt`` faults the index is the 0-based *global optimizer step*, and

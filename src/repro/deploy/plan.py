@@ -108,15 +108,17 @@ class ActQuantSpec:
         """
         codes = np.empty_like(x, dtype=np.float32) if out is None else out
         if self.mode == "pact":
-            np.clip(x, 0.0, self.range, out=codes)
+            np.maximum(x, 0.0, out=codes)
+            np.minimum(codes, self.range, out=codes)
             codes /= self.divisor
         else:
             np.multiply(x, 1.0 / self.range, out=codes)
-            np.clip(codes, 0.0, 1.0, out=codes)
+            np.maximum(codes, 0.0, out=codes)
+            np.minimum(codes, 1.0, out=codes)
         codes *= self.levels
-        # rint == round(decimals=0) bit-for-bit (round dispatches to rint),
-        # minus several microseconds of wrapper overhead per call — this runs
-        # once per quantized layer per batch.
+        # maximum/minimum and rint stand in for clip and round(decimals=0),
+        # minus their wrappers' microseconds per call (this runs once per
+        # quantized layer per batch); a -0.0 clip would keep becomes +0.0.
         np.rint(codes, out=codes)
         return codes
 

@@ -14,16 +14,15 @@ Enabling:
 * environment — ``REPRO_TELEMETRY=1`` (anything but ``0``/``false``/
   ``off``/``no``/empty) turns the process handle on;
 * programmatic — :func:`configure_telemetry` (used by
-  ``scripts/loadgen.py`` to attach a run-scoped NDJSON sink), or the
-  :func:`telemetry_scope` context manager for tests and smokes.
+  ``scripts/train_resume_smoke.py`` to attach a run-scoped NDJSON sink),
+  or the :func:`telemetry_scope` context manager for tests and smokes.
 
 A :class:`Telemetry` handle bundles the three pillars:
 :class:`~repro.obs.metrics.MetricsRegistry` (counters / gauges /
 fixed-memory streaming histograms), :class:`~repro.obs.trace.Tracer`
 (lifecycle spans), and an optional :class:`~repro.obs.sink.NdjsonSink`
 (one record per request/span under a run-scoped prefix, with a provenance
-manifest).  See OBSERVABILITY.md for the knobs, the NDJSON schema, and
-the load-generator/soak harness that consumes all of it.
+manifest).  See OBSERVABILITY.md for the knobs and the NDJSON schema.
 """
 
 from __future__ import annotations

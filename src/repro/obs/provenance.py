@@ -1,10 +1,10 @@
 """Run provenance: the environment block every telemetry run records.
 
 One canonical implementation of the environment/provenance fields shared
-by the perf-bench harness (``benchmarks/perf/harness.py``), the NDJSON
-sink's run manifests, and ``scripts/loadgen.py`` — a recorded number is
-only meaningful if the run can be traced back to the exact revision,
-interpreter, and knob settings that produced it.
+by the end-to-end benchmark's provenance line (``perfbench/run.py``), the
+NDJSON sink's run manifests, and the parity tests' BLAS thread count — a
+recorded number is only meaningful if the run can be traced back to the
+exact revision, interpreter, and knob settings that produced it.
 """
 
 from __future__ import annotations
@@ -100,7 +100,7 @@ def environment_block() -> Dict[str, object]:
 
 
 #: Fields a run manifest must carry for the run to count as reproducible
-#: (the loadgen self-check and the tier-1 smoke assert these).
+#: (``tests/obs/test_sink.py`` asserts these).
 REQUIRED_MANIFEST_FIELDS = ("label", "created_unix", "environment", "params")
 REQUIRED_ENVIRONMENT_FIELDS = (
     "git_sha", "numpy", "cpu_count", "blas", "blas_threads",

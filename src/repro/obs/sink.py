@@ -9,8 +9,8 @@ a record is serialized outside the lock and written as one ``write`` call,
 so concurrent writers never interleave partial lines.
 
 The sink is deliberately dumb — no buffering beyond the OS, no rotation —
-because consumers (``scripts/loadgen.py``, the soak report) read whole
-runs after the fact; :func:`read_ndjson` is the matching reader.
+because consumers (``scripts/train_resume_smoke.py``, the tests) read
+whole runs after the fact; :func:`read_ndjson` is the matching reader.
 """
 
 from __future__ import annotations

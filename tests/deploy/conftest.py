@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 # Re-exported so every deploy test imports the one canonical construction
-# (shared with benchmarks/perf/serve_bench.py and scripts/serve_smoke.py).
+# (shared with scripts/serve_smoke.py and scripts/telemetry_gate.py).
 from repro.deploy.testing import frozen_mixed_model  # noqa: F401
 
 

@@ -60,6 +60,18 @@ def _matmul():
     return out.data, w.grad, x.grad
 
 
+def _int_gemm():
+    """int8 codes times 4-bit codes through the f32 GEMM, and the int64 product."""
+    from repro.runtime import parallel_gemm
+    from repro.runtime.intgemm import F32_EXACT_BOUND, gemm_bound
+
+    rng = np.random.default_rng(5)
+    w = rng.integers(-128, 128, size=(24, 576), dtype=np.int64)
+    x = rng.integers(0, 16, size=(576, 700), dtype=np.int64)
+    assert gemm_bound(576, -128, 127, 0, 15) < F32_EXACT_BOUND
+    return parallel_gemm(w.astype(np.float32), x.astype(np.float32)), np.matmul(w, x)
+
+
 def _csq_reconstruct():
     from repro.csq.bitparam import BitParameterization
     from repro.csq.gates import GateState
@@ -102,6 +114,7 @@ _CASES = {
     **{f"conv{i}": (lambda g=g: _conv(g)) for i, g in enumerate(_CONV_GEOMETRIES)},
     "im2col": _im2col,
     "matmul": _matmul,
+    "int_gemm": _int_gemm,
     "csq_reconstruct": _csq_reconstruct,
     "train_step": _train_step,
 }
@@ -174,6 +187,19 @@ class TestLinearParity:
         if runs[_THREADS[-1]]["blas_threads"] < 2:
             pytest.skip("BLAS runs on fewer than 2 threads on this host")
         _assert_same_bytes(runs, "matmul", indices=(2,))
+
+
+class TestIntGemmParity:
+    def test_f32_gemm_on_codes_is_exact(self, runs):
+        """Every int8/int16-tagged plan layer relies on this: f32 BLAS on
+        code matrices whose ``gemm_bound`` is below 2**24 equals the int64
+        product, at every BLAS thread count."""
+        for threads, arrays in runs.items():
+            np.testing.assert_array_equal(
+                arrays["int_gemm/0"].astype(np.int64), arrays["int_gemm/1"],
+                err_msg=f"f32 GEMM diverged from the int64 product at {threads} BLAS threads",
+            )
+        _assert_same_bytes(runs, "int_gemm", indices=(0,))
 
 
 class TestCSQParity:
