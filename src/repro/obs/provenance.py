@@ -46,32 +46,29 @@ def blas_info() -> Tuple[str, object]:
     """``(backend name and version, thread count)`` of NumPy's BLAS.
 
     The thread count is what the loaded OpenBLAS itself reports (read
-    through ctypes from the library NumPy ships in ``numpy.libs``), since
-    float32 GEMM results can change with it; when that library cannot be
-    found it falls back to ``OPENBLAS_NUM_THREADS`` or ``"unknown"``.
+    through ctypes with :func:`repro.runtime.intgemm.openblas_function`),
+    since float32 GEMM results can change with it; importing the library
+    pins it to 1.  When that library cannot be found it falls back to
+    ``OPENBLAS_NUM_THREADS`` or ``"unknown"``.
     """
     import ctypes
-    import glob
 
     import numpy as np
+
+    from repro.runtime.intgemm import openblas_function
 
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         backend = f"{blas.get('name')} {blas.get('version')}"
     except Exception:  # older NumPy without the dict config
         backend = "unknown"
-    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
-    for path in glob.glob(os.path.join(libs, "*openblas*")):
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for symbol in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
-                       "openblas_get_num_threads64_", "openblas_get_num_threads"):
-            getter = getattr(lib, symbol, None)
-            if getter is not None:
-                getter.restype = ctypes.c_int
-                return backend, int(getter())
+    getter = openblas_function(
+        "scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+        "openblas_get_num_threads64_", "openblas_get_num_threads",
+    )
+    if getter is not None:
+        getter.restype = ctypes.c_int
+        return backend, int(getter())
     return backend, os.environ.get("OPENBLAS_NUM_THREADS", "unknown")
 
 

@@ -22,19 +22,74 @@ Every layer runs the same float32 GEMM either way — the tag records which
 semantics that GEMM has.
 
 :func:`parallel_gemm` is that GEMM: the one 2-D matmul entry point of the
-training ops and the deploy plans.  It is a single BLAS call, and its only
-parallelism is the BLAS library's own threads.
+training ops and the deploy plans.  It is a single BLAS call on one thread:
+OpenBLAS sums some float32 GEMMs in an order that depends on its thread
+count (a conv weight gradient of (13×450) @ (450×117) already does), so a
+result would depend on how many cores the host has.  Importing this module
+pins the OpenBLAS NumPy loaded to one thread (:func:`pin_blas_threads`),
+whatever ``OPENBLAS_NUM_THREADS`` says; with another BLAS backend it warns
+that results may depend on the BLAS thread count.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+import ctypes
+import glob
+import os
+import warnings
+from typing import Callable, Optional
 
 import numpy as np
 
 #: Largest magnitude for which every intermediate of an integer GEMM is
 #: exactly representable in float32.
 F32_EXACT_BOUND = 1 << 24
+
+
+#: Threads every BLAS call runs on: the one count every host can give.
+BLAS_THREADS = 1
+
+
+def openblas_function(*symbols: str) -> Optional[Callable]:
+    """The first of ``symbols`` exported by the OpenBLAS NumPy loaded, or ``None``.
+
+    NumPy wheels ship their OpenBLAS in ``numpy.libs``; opening that file
+    through ctypes returns the copy NumPy already loaded.  ``None`` means
+    NumPy runs on another BLAS backend (or one this lookup cannot find).
+    """
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for symbol in symbols:
+            function = getattr(lib, symbol, None)
+            if function is not None:
+                return function
+    return None
+
+
+def pin_blas_threads() -> None:
+    """Set OpenBLAS to :data:`BLAS_THREADS` threads, or warn
+    (``RuntimeWarning``) when no OpenBLAS thread setter is found."""
+    setter = openblas_function(
+        "scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+        "openblas_set_num_threads64_", "openblas_set_num_threads",
+    )
+    if setter is None:
+        warnings.warn(
+            "no OpenBLAS thread setter found for NumPy's BLAS: results may "
+            "depend on the BLAS thread count",
+            RuntimeWarning, stacklevel=2,
+        )
+        return
+    setter.argtypes = [ctypes.c_int]
+    setter.restype = None
+    setter(BLAS_THREADS)
+
+
+pin_blas_threads()
 
 
 class IntGemmError(ValueError):
@@ -101,7 +156,8 @@ def parallel_gemm(
 
     The conv GEMMs of the training ops and the deploy plans go through this
     module-level name, which the benchmark's trace mode patches by
-    attribute.  The only threads are BLAS's own.
+    attribute.  It runs on the one BLAS thread this module pins, so its
+    bytes do not depend on the host's core count.
     """
     if a.ndim != 2 or b.ndim != 2:
         raise ValueError(f"parallel_gemm needs 2-D operands, got {a.ndim}-D @ {b.ndim}-D")
@@ -109,10 +165,13 @@ def parallel_gemm(
 
 
 __all__ = [
+    "BLAS_THREADS",
     "F32_EXACT_BOUND",
     "IntGemmError",
     "gemm_bound",
     "kernel_tag",
     "natural_int_dtype",
+    "openblas_function",
     "parallel_gemm",
+    "pin_blas_threads",
 ]

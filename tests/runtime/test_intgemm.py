@@ -1,5 +1,5 @@
-"""Compile-time integer-GEMM certification (bound, storage widths, tags)
-and the plain ``parallel_gemm`` entry point.
+"""Compile-time integer-GEMM certification (bound, storage widths, tags),
+the plain ``parallel_gemm`` entry point and the one-thread BLAS pin.
 
 The exactness claim itself (f32 BLAS on certified code matrices equals the
 int64 reference bit for bit) is pinned in
@@ -9,13 +9,16 @@ int64 reference bit for bit) is pinned in
 import numpy as np
 import pytest
 
+from repro.runtime import intgemm
 from repro.runtime.intgemm import (
+    BLAS_THREADS,
     F32_EXACT_BOUND,
     IntGemmError,
     gemm_bound,
     kernel_tag,
     natural_int_dtype,
     parallel_gemm,
+    pin_blas_threads,
 )
 
 
@@ -77,3 +80,20 @@ def test_parallel_gemm_rejects_non_2d_operands():
         parallel_gemm(a, np.ones(3, np.float32))
     with pytest.raises(ValueError):
         parallel_gemm(np.ones((1, 2, 3), np.float32), np.ones((3, 2), np.float32))
+
+
+def test_pin_sets_the_openblas_thread_count(monkeypatch):
+    calls = []
+
+    def setter(threads):
+        calls.append(threads)
+
+    monkeypatch.setattr(intgemm, "openblas_function", lambda *symbols: setter)
+    pin_blas_threads()
+    assert calls == [BLAS_THREADS] == [1]
+
+
+def test_pin_warns_without_an_openblas_setter(monkeypatch):
+    monkeypatch.setattr(intgemm, "openblas_function", lambda *symbols: None)
+    with pytest.warns(RuntimeWarning, match="BLAS thread count"):
+        pin_blas_threads()

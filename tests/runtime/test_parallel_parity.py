@@ -1,12 +1,15 @@
 """Bitwise parity of the training kernels across BLAS thread counts.
 
 A result must not depend on how many cores the host has.  The library
-computes on no threads of its own; the only parallelism is BLAS's, and
-OpenBLAS reads ``OPENBLAS_NUM_THREADS`` once, when it loads.  So this file
-runs every case in a child process (``python test_parallel_parity.py
-OUT``) at 1 and at 2 BLAS threads and requires the two sets of bytes to
-be equal — ``array_equal``, not ``allclose`` — so any change of
-accumulation order with the thread count is caught.
+computes on no threads of its own, and OpenBLAS sums some float32 GEMMs
+in an order that depends on its thread count, so importing the library
+pins OpenBLAS to one thread whatever ``OPENBLAS_NUM_THREADS`` says
+(``repro.runtime.intgemm.pin_blas_threads``).  This file runs every case
+in a child process (``python test_parallel_parity.py OUT``) started at
+``OPENBLAS_NUM_THREADS`` 1 and 2, checks that the child reports one BLAS
+thread either way, and requires the two sets of bytes to be equal —
+``array_equal``, not ``allclose`` — so any change of accumulation order
+with the thread count is caught.
 """
 
 import os
@@ -25,6 +28,9 @@ _CONV_GEOMETRIES = [
     ((8, 16, 10, 10), (16, 16, 3, 3), 1, 1),   # transposed-conv data path
     ((4, 3, 16, 16), (8, 3, 5, 5), 1, 2),
     ((10, 8, 8, 8), (16, 8, 1, 1), 1, 0),
+    # bench resnet20 layer3: unpinned, its weight gradient (13×450) @
+    # (450×117) differs between 1 and 2 OpenBLAS threads
+    ((50, 13, 3, 3), (13, 13, 3, 3), 1, 1),
 ]
 
 
@@ -161,6 +167,12 @@ def _assert_same_bytes(runs, name, indices=None):
                 runs[threads][key], reference[key],
                 err_msg=f"{key}: bitwise divergence at {threads} BLAS threads",
             )
+
+
+def test_library_pins_one_blas_thread(runs):
+    """A child started at ``OPENBLAS_NUM_THREADS=2`` computes on one thread."""
+    for threads, arrays in runs.items():
+        assert arrays["blas_threads"] == 1, f"started at {threads} BLAS threads"
 
 
 class TestConvParity:
